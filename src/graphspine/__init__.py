@@ -39,7 +39,6 @@ from .homology import (
     is_well_rounded,
     smith_normal_form,
     systole_lattice,
-    transport_basis,
 )
 from .fill import (
     Membership,

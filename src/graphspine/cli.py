@@ -73,7 +73,10 @@ def _emit_json(payload: Any) -> None:
 def _load_text(spec: str) -> str:
     path = Path(spec)
     if path.exists():
-        return path.read_text()
+        try:
+            return path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GraphSpineError(f"cannot read {spec}: {exc}") from None
     name = spec.removesuffix(".graph")
     if name in DATASET_NAMES:
         return dataset_text(name)

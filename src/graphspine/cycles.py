@@ -167,14 +167,14 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
         # DFS over simple paths anchor.v -> anchor.u on edges with id > aid
         def dfs(x: int, used: Fraction, visited: set[int], steps: list[tuple[int, int]]):
             for eid, y in adj[x]:
-                if not usable(eid) or any(eid == s for s, _ in steps):
+                if not usable(eid):
                     continue
                 e = g.edge_by_id[eid]
                 if e.is_loop:
                     continue
                 nd = used + w[eid]
                 if y == goal:
-                    if nd <= budget and steps is not None:
+                    if nd <= budget:
                         direction = 0 if x == e.u else 1
                         cyc = Cycle.make(g, [(aid, 0)] + steps + [(eid, direction)])
                         found.append(cyc)
@@ -194,8 +194,6 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
                 steps.pop()
                 visited.discard(y)
 
-        if anchor.v == anchor.u:  # unreachable: loops handled above
-            continue
         dfs(anchor.v, Fraction(0), {anchor.v, goal}, [])
 
     uniq = sorted(set(found), key=Cycle.sort_key)

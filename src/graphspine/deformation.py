@@ -17,32 +17,9 @@ from .graphs import Cycle, MetricGraph, cycle_length, rank, require_outer_space
 from .cycles import minimum_cycles
 
 
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, via reduced row echelon form."""
+def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q by exact Gauss-Jordan elimination,
+    with the pivot column of each nonzero row."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -61,6 +38,19 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[F
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q by exact Gaussian elimination."""
+    if not rows:
+        return 0
+    return len(_rref(rows, len(rows[0]))[1])
+
+
+def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the right kernel, via reduced row echelon form."""
+    m, pivots = _rref(rows, ncols)
     free_cols = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free_cols:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import NotOuterSpace
-from .graphs import Cycle, MetricGraph, cycle_vertices, rank
+from .graphs import Cycle, MetricGraph, _DisjointSets, cycle_vertices, rank
 from .cycles import all_systoles
 from .homology import LatticeVerdict, is_well_rounded
 
@@ -46,46 +46,21 @@ def systole_support(g: MetricGraph) -> SystoleSupport:
 
 def support_betti(g: MetricGraph, support: SystoleSupport) -> int:
     """First Betti number of the (possibly disconnected) support subgraph."""
-    verts = sorted(support.vertex_ids)
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(verts)
+    sets = _DisjointSets(g.num_vertices)
+    components = len(support.vertex_ids)
     for eid in support.edge_ids:
         e = g.edge_by_id[eid]
-        ru, rv = find(index[e.u]), find(index[e.v])
-        if ru != rv:
-            parent[ru] = rv
+        if sets.union(e.u, e.v):
             components -= 1
-    return len(support.edge_ids) - len(verts) + components
+    return len(support.edge_ids) - len(support.vertex_ids) + components
 
 
 def _complement_is_forest(g: MetricGraph, support: SystoleSupport) -> bool:
-    outside = [v for v in range(g.num_vertices) if v not in support.vertex_ids]
-    index = {v: i for i, v in enumerate(outside)}
-    parent = list(range(len(outside)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in g.edges:
-        if e.u in index and e.v in index:
-            if e.is_loop:
-                return False
-            ru, rv = find(index[e.u]), find(index[e.v])
-            if ru == rv:
-                return False
-            parent[ru] = rv
-    return True
+    inside = support.vertex_ids
+    sets = _DisjointSets(g.num_vertices)
+    # an outside edge within one component (a loop included) closes a cycle
+    return all(sets.union(e.u, e.v) for e in g.edges
+               if e.u not in inside and e.v not in inside)
 
 
 def topologically_fills(g: MetricGraph) -> bool:

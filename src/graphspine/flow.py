@@ -24,7 +24,15 @@ from .errors import (
     NotUnitVolume,
     ParameterOutOfRange,
 )
-from .graphs import Cycle, MetricGraph, contract_forest, cycle_length, rank, require_outer_space
+from .graphs import (
+    Cycle,
+    MetricGraph,
+    _DisjointSets,
+    contract_forest,
+    cycle_length,
+    rank,
+    require_outer_space,
+)
 from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
 from .fill import SystoleSupport, support_of
 
@@ -122,22 +130,13 @@ class Event:
 
 
 def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> None:
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(g.num_vertices)
     for eid in sorted(edge_ids):
         e = g.edge_by_id[eid]
         if e.is_loop:
             raise DegenerateStage(f"non-systole loop {eid} survives to stage end")
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
+        if not sets.union(e.u, e.v):
             raise DegenerateStage("non-systole edges contain a cycle at stage end")
-        parent[ru] = rv
 
 
 def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, tuple[int, ...]]:

@@ -152,18 +152,17 @@ def normalize_volume(g: MetricGraph) -> MetricGraph:
 # cycles
 
 
-def _canonical_steps(steps: Sequence[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """Lexicographically minimal rotation of the step sequence or its reversal.
+def _least_rotation(seq: tuple, reversal: tuple) -> tuple:
+    """Lexicographically minimal rotation of a cyclic sequence or of its
+    given reversal.
 
-    Gives one distinguished representative per unoriented cyclic curve, which
-    is what makes cycle sets diffable and reports deterministic.
+    Gives one distinguished representative per unoriented cyclic curve (or
+    face walk), which is what makes cycle sets diffable and reports
+    deterministic.
     """
-    steps = tuple(steps)
-    k = len(steps)
-    reversed_steps = tuple((eid, 1 - d) for eid, d in reversed(steps))
-    candidates = [steps[i:] + steps[:i] for i in range(k)]
-    candidates += [reversed_steps[i:] + reversed_steps[:i] for i in range(k)]
-    return min(candidates)
+    k = len(seq)
+    return min([seq[i:] + seq[:i] for i in range(k)]
+               + [reversal[i:] + reversal[:i] for i in range(k)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +180,7 @@ class Cycle:
 
     @cached_property
     def canonical_key(self) -> tuple[tuple[int, int], ...]:
-        return _canonical_steps(self.steps)
+        return _least_rotation(self.steps, self.reverse().steps)
 
     @cached_property
     def edge_ids(self) -> frozenset[int]:
@@ -264,6 +263,29 @@ def relabel_cycle(c: Cycle, edge_map: Mapping[int, int]) -> Cycle:
 # forest contraction
 
 
+class _DisjointSets:
+    """Union-find on 0..n-1 in which the smaller root wins every union, so
+    each root is the least member of its set."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False if they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
 @dataclass(frozen=True)
 class EdgeCorrespondence:
     """Tracks identities through a contraction.
@@ -290,24 +312,16 @@ def contract_forest(g: MetricGraph, edge_ids: Iterable[int]) -> tuple[MetricGrap
         if e.is_loop:
             raise ContractionOfCycle(f"edge {eid} is a loop")
 
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = _DisjointSets(g.num_vertices)
     for eid in sorted(ids):
         e = g.edge_by_id[eid]
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
+        if not sets.union(e.u, e.v):
             raise ContractionOfCycle(f"selected edges contain a cycle through edge {eid}")
-        parent[max(ru, rv)] = min(ru, rv)
 
-    roots = sorted({find(v) for v in range(g.num_vertices)})
+    # new vertex i is the component with the i-th smallest least vertex
+    roots = sorted({sets.find(v) for v in range(g.num_vertices)})
     new_index = {r: i for i, r in enumerate(roots)}
-    vertex_map = tuple(new_index[find(v)] for v in range(g.num_vertices))
+    vertex_map = tuple(new_index[sets.find(v)] for v in range(g.num_vertices))
 
     new_edges = tuple(
         Edge(e.id, vertex_map[e.u], vertex_map[e.v], e.length)
@@ -471,7 +485,7 @@ def parse_graph_file(text: str):
                 raise MalformedLine(lineno, raw, "graph line needs a name")
             name = line.split(None, 1)[1]
         elif kind == "vertices":
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise MalformedLine(lineno, raw, "vertices line needs a count")
             num_vertices = int(parts[1])
         elif kind == "edge":
@@ -486,7 +500,7 @@ def parse_graph_file(text: str):
         elif kind == "rotation":
             head, _, rest = line.partition(":")
             head_parts = head.split()
-            if len(head_parts) != 2 or not head_parts[1].isdigit():
+            if len(head_parts) != 2 or not (head_parts[1].isascii() and head_parts[1].isdigit()):
                 raise MalformedLine(lineno, raw, "rotation line needs: rotation <v>: darts")
             v = int(head_parts[1])
             darts = []

@@ -12,29 +12,20 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import ForeignCycle, InvalidGraph
-from .graphs import Cycle, EdgeCorrespondence, MetricGraph, rank
+from .graphs import Cycle, MetricGraph, rank
 from .cycles import all_systoles
 
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Spanning tree plus ordered chords c_1..c_n.
-
-    ``transform`` accumulates the unimodular change of basis back to the
-    basis this one was transported from (identity for a fresh basis).
-    """
+    """Spanning tree plus ordered chords c_1..c_n."""
 
     tree_edge_ids: frozenset[int]
     chords: tuple[int, ...]
-    transform: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.chords)
-
-
-def _identity(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def build_basis(g: MetricGraph) -> HomologyBasis:
@@ -52,29 +43,7 @@ def build_basis(g: MetricGraph) -> HomologyBasis:
                     next_frontier.append(other)
         frontier = next_frontier
     chords = tuple(sorted(e.id for e in g.edges if e.id not in tree))
-    return HomologyBasis(frozenset(tree), chords, _identity(len(chords)))
-
-
-def basis_from_tree(g: MetricGraph, tree_edge_ids) -> HomologyBasis:
-    tree = frozenset(tree_edge_ids)
-    if len(tree) != g.num_vertices - 1:
-        raise InvalidGraph("not a spanning tree: wrong edge count")
-    sub = [g.edge_by_id[eid] for eid in tree]
-    parent = list(range(g.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in sub:
-        ru, rv = find(e.u), find(e.v)
-        if ru == rv:
-            raise InvalidGraph("not a spanning tree: contains a cycle")
-        parent[ru] = rv
-    chords = tuple(sorted(e.id for e in g.edges if e.id not in tree))
-    return HomologyBasis(tree, chords, _identity(len(chords)))
+    return HomologyBasis(frozenset(tree), chords)
 
 
 def _tree_path_steps(g: MetricGraph, basis: HomologyBasis, start: int, goal: int) -> list[tuple[int, int]]:
@@ -314,72 +283,3 @@ def is_well_rounded(g: MetricGraph) -> tuple[bool, LatticeVerdict]:
     """True iff the systole classes span a finite-index subgroup of H_1."""
     verdict = systole_lattice(g)
     return verdict.rank == rank(g), verdict
-
-
-# ---------------------------------------------------------------------------
-# transport through contraction
-
-
-def _lift_cycle(g: MetricGraph, basis: HomologyBasis, corr: EdgeCorrespondence,
-                contracted_graph: MetricGraph, c: Cycle) -> Cycle:
-    """Lift a cycle of the contracted graph back through the contraction,
-    bridging gaps with the unique paths inside the contracted forest."""
-    steps: list[tuple[int, int]] = []
-    fadj: dict[int, list[tuple[int, int]]] = {}
-    for eid in corr.contracted:
-        e = g.edge_by_id[eid]
-        fadj.setdefault(e.u, []).append((eid, e.v))
-        fadj.setdefault(e.v, []).append((eid, e.u))
-
-    def forest_path(a: int, b: int) -> list[tuple[int, int]]:
-        if a == b:
-            return []
-        prev = {a: (-1, -1)}
-        frontier = [a]
-        while frontier and b not in prev:
-            nxt = []
-            for v in frontier:
-                for eid, other in fadj.get(v, ()):
-                    if other not in prev:
-                        prev[other] = (v, eid)
-                        nxt.append(other)
-            frontier = nxt
-        out = []
-        v = b
-        while v != a:
-            u, eid = prev[v]
-            e = g.edge_by_id[eid]
-            out.append((eid, 0 if e.u == u else 1))
-            v = u
-        out.reverse()
-        return out
-
-    walk: list[tuple[int, int, int]] = []  # (eid, dir, tail in g)
-    for eid, d in c.steps:
-        e_old = g.edge_by_id[eid]
-        tail = e_old.u if d == 0 else e_old.v
-        walk.append((eid, d, tail))
-    for i, (eid, d, tail) in enumerate(walk):
-        e_old = g.edge_by_id[eid]
-        head = e_old.v if d == 0 else e_old.u
-        steps.append((eid, d))
-        next_tail = walk[(i + 1) % len(walk)][2]
-        steps.extend(forest_path(head, next_tail))
-    return Cycle.make(g, steps, canonical=False)
-
-
-def transport_basis(g: MetricGraph, basis: HomologyBasis, corr: EdgeCorrespondence,
-                    contracted_graph: MetricGraph) -> tuple[HomologyBasis, tuple[tuple[int, ...], ...]]:
-    """Rebuild the basis on the contracted graph and return it together with
-    the unimodular matrix expressing its generators in the old basis."""
-    new_basis = build_basis(contracted_graph)
-    columns = []
-    for chord in new_basis.chords:
-        fc = fundamental_cycle(contracted_graph, new_basis, chord)
-        lifted = _lift_cycle(g, basis, corr, contracted_graph, fc)
-        columns.append(cycle_class(g, basis, lifted))
-    n = basis.n
-    M = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
-    assert abs(_det(M)) == 1, "change of basis is not unimodular"
-    accumulated = tuple(tuple(int(x) for x in row) for row in _mat_mul(basis.transform, M))
-    return HomologyBasis(new_basis.tree_edge_ids, new_basis.chords, accumulated), M

@@ -24,6 +24,7 @@ from .graphs import (
     Cycle,
     Edge,
     MetricGraph,
+    _least_rotation,
     parse_graph_file,
     rank,
     serialize_graph,
@@ -184,13 +185,6 @@ def _faces_untwisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
     return orbits
 
 
-def _canonical_walk_key(edge_walk: Sequence[int]) -> tuple[int, ...]:
-    seq = tuple(edge_walk)
-    k = len(seq)
-    rev = tuple(reversed(seq))
-    return min([seq[i:] + seq[:i] for i in range(k)] + [rev[i:] + rev[:i] for i in range(k)])
-
-
 def _faces_twisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
     """General signed tracing: states are (dart, local orientation); each face
     is covered by exactly two state orbits (one per traversal sense)."""
@@ -217,7 +211,8 @@ def _faces_twisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
     assert len(orbits) % 2 == 0
     by_key: dict[tuple[int, ...], list[tuple[Dart, ...]]] = {}
     for orbit in orbits:
-        by_key.setdefault(_canonical_walk_key([d[0] for d in orbit]), []).append(orbit)
+        edge_walk = tuple(d[0] for d in orbit)
+        by_key.setdefault(_least_rotation(edge_walk, edge_walk[::-1]), []).append(orbit)
     faces: list[tuple[Dart, ...]] = []
     for key in sorted(by_key):
         group = sorted(by_key[key])

@@ -119,6 +119,13 @@ def test_domain_error_exit_code(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, "--permissive", "analyze", str(path))
     assert code2 == 0
     assert "systole length: 1/1" in out2
+    # unreadable input: a directory, and a file that is not UTF-8
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes(b"graph caf\xe9\nvertices 1\nedge 0 0 0 1/1\n")
+    for spec in (tmp_path, latin1):
+        code3, _, err3 = run_cli(capsys, "--json", "analyze", str(spec))
+        assert code3 == 1
+        assert json.loads(err3)["error"]["kind"] == "GraphSpineError"
 
 
 def test_usage_error_exit_code():

@@ -73,6 +73,11 @@ def test_parse_rejects_garbage():
         parse_graph("graph g\nvertices two\n")
     with pytest.raises(MalformedLine):
         parse_graph("vertices 2\nedge 0 0 1 1/2\n")
+    # str.isdigit accepts superscripts, which int() then rejects
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices \u00b2\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 2\nedge 0 0 1 1/1\nrotation \u00b9: 0.1\n")
 
 
 def test_serialize_parse_roundtrip(theta):
@@ -153,6 +158,16 @@ def test_contract_preserves_lengths(k4):
     contracted, _ = contract_forest(k4, {0})
     assert all(e.length == Fraction(1, 6) for e in contracted.edges)
     assert rank(contracted) == 3
+
+
+def test_contract_numbers_components_by_least_vertex(k4):
+    # new vertex i is the component with the i-th smallest least vertex
+    _, corr = contract_forest(k4, {2, 3})  # edges 0-3 and 1-2
+    assert corr.vertex_map == (0, 1, 1, 0)
+    contracted, corr = contract_forest(k4, {1, 5})  # edges 0-2 and 2-3
+    assert corr.vertex_map == (0, 1, 0, 0)
+    assert [(e.id, e.u, e.v) for e in contracted.edges] == [
+        (0, 0, 1), (2, 0, 0), (3, 1, 0), (4, 1, 0)]
 
 
 def test_isomorphism_examples(theta, dumbbell_eq):

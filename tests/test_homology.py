@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspine.errors import ForeignCycle
-from graphspine.graphs import Cycle, Edge, MetricGraph, contract_forest, rank
+from graphspine.graphs import Cycle, Edge, MetricGraph, rank
 from graphspine.homology import (
-    basis_from_tree,
     build_basis,
     cycle_class,
     fundamental_cycle,
@@ -16,10 +15,8 @@ from graphspine.homology import (
     lattice_verdict,
     smith_normal_form,
     systole_lattice,
-    transport_basis,
 )
 
-from .conftest import make_k4
 from .oracles import oracle_lattice, oracle_systoles
 from .strategies import multigraphs
 
@@ -45,17 +42,6 @@ def test_theta_class_example(theta):
     c = Cycle.make(theta, ((1, 0), (2, 1)), canonical=False)
     v = cycle_class(theta, b, c)
     assert v in ((1, -1), (-1, 1))
-
-
-def test_k4_star_tree_triangle_pattern():
-    k4 = make_k4()
-    star = {0, 1, 2}  # edges 0-1, 0-2, 0-3
-    b = basis_from_tree(k4, star)
-    assert b.chords == (3, 4, 5)
-    triangle = Cycle.make(k4, ((3, 0), (5, 0), (4, 1)), canonical=False)  # 1-2-3-1
-    v = cycle_class(k4, b, triangle)
-    assert sorted(abs(x) for x in v) == [1, 1, 1]
-    assert abs(sum(v)) == 1  # two signs agree, one differs
 
 
 def test_reversal_negates_class(k4):
@@ -147,29 +133,3 @@ def test_lattice_invariant_under_relabeling(g):
     a = systole_lattice(g)
     b = systole_lattice(mangled)
     assert (a.rank, a.divisors, a.index) == (b.rank, b.divisors, b.index)
-
-
-# -- transport through contraction -------------------------------------------
-
-
-def test_transport_is_unimodular(k4):
-    basis = build_basis(k4)
-    contracted, corr = contract_forest(k4, {0})
-    new_basis, M = transport_basis(k4, basis, corr, contracted)
-    assert new_basis.n == basis.n == 3
-    import sympy
-
-    assert abs(sympy.Matrix([list(r) for r in M]).det()) == 1
-    assert abs(sympy.Matrix([list(r) for r in new_basis.transform]).det()) == 1
-
-
-def test_transport_preserves_classes(dumbbell_uneq):
-    g = dumbbell_uneq
-    basis = build_basis(g)
-    contracted, corr = contract_forest(g, {2})
-    new_basis, M = transport_basis(g, basis, corr, contracted)
-    # surviving cycles keep their ids; loop 0's class transforms through M
-    old = cycle_class(g, basis, Cycle.make(g, ((0, 0),), canonical=False))
-    new = cycle_class(contracted, new_basis, Cycle.make(contracted, ((0, 0),), canonical=False))
-    via_m = tuple(sum(M[i][j] * new[j] for j in range(len(new))) for i in range(len(old)))
-    assert via_m == old
