@@ -2,7 +2,9 @@
 
 Weighted girth, the complete set of minimum cycles, bounded enumeration of
 all embedded cycles, and the least cycle length strictly above a threshold.
-All weights are exact rationals; ties are ties, never epsilons.
+All weights are exact rationals; ties are ties, never epsilons.  Each public
+search scales the weights once by their common denominator D and then adds
+and compares plain integers; lengths come back as ``Fraction(n, D)``.
 
 A shortest non-trivial closed curve in a graph never repeats a vertex (it
 would split there into two shorter ones), so only embedded cycles are ever
@@ -14,9 +16,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional
 
-from .errors import BudgetExceeded, NoCycle
+from .errors import BudgetExceeded, InvariantViolation, NoCycle
 from .graphs import Cycle, MetricGraph
 
 DEFAULT_CYCLE_CAP = 10**7
@@ -29,6 +32,19 @@ def _as_weights(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> Ma
     if missing:
         raise ValueError(f"weights missing for edges {sorted(missing)}")
     return weights
+
+
+def _scaled(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> tuple[dict[int, int], int]:
+    """The integer weights ``w·D`` and D, the lcm of the weight denominators."""
+    w = _as_weights(g, weights)
+    den = lcm(*(w[e.id].denominator for e in g.edges))
+    return {e.id: w[e.id].numerator * (den // w[e.id].denominator) for e in g.edges}, den
+
+
+def _scaled_floor(x: Fraction, den: int) -> int:
+    """floor(x·D): an integer length L satisfies L <= x·D iff L <= floor(x·D)."""
+    x = Fraction(x)
+    return x.numerator * den // x.denominator
 
 
 def bridge_ids(g: MetricGraph) -> frozenset[int]:
@@ -78,27 +94,33 @@ def bridge_ids(g: MetricGraph) -> frozenset[int]:
     return frozenset(bridges)
 
 
-def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, Fraction],
-              allowed=None) -> dict[int, Fraction]:
-    """Exact single-source distances; ``allowed(edge_id)`` filters edges."""
-    dist: dict[int, Fraction] = {source: Fraction(0)}
-    done: set[int] = set()
-    counter = itertools.count()
-    heap: list = [(Fraction(0), next(counter), source)]
+def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=None,
+              target: Optional[int] = None, limit: Optional[int] = None) -> dict[int, int]:
+    """Exact single-source distances under integer weights, for settled
+    vertices only.  ``allowed(edge_id)`` filters edges; the search stops once
+    ``target`` is settled, or at the first distance beyond ``limit``."""
+    done: dict[int, int] = {}
+    dist = {source: 0}
+    heap = [(0, source)]
     adj = g.adjacency
     while heap:
-        d, _, x = heapq.heappop(heap)
+        d, x = heapq.heappop(heap)
         if x in done:
             continue
-        done.add(x)
+        if limit is not None and d > limit:
+            break
+        done[x] = d
+        if x == target:
+            break
         for eid, y in adj[x]:
-            if allowed is not None and not allowed(eid):
+            if y in done or (allowed is not None and not allowed(eid)):
                 continue
             nd = d + weights[eid]
-            if y not in dist or nd < dist[y]:
+            old = dist.get(y)
+            if old is None or nd < old:
                 dist[y] = nd
-                heapq.heappush(heap, (nd, next(counter), y))
-    return dist
+                heapq.heappush(heap, (nd, y))
+    return done
 
 
 def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None) -> Optional[Fraction]:
@@ -106,10 +128,11 @@ def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None
 
     Per-edge approach: a loop is a cycle by itself; for every other non-bridge
     edge, its best cycle is the edge plus the shortest path between its
-    endpoints avoiding it.
+    endpoints avoiding it, searched only as far as it could beat the best
+    cycle so far.
     """
-    w = _as_weights(g, weights)
-    best: Optional[Fraction] = None
+    w, den = _scaled(g, weights)
+    best: Optional[int] = None
     bridges = bridge_ids(g)
     for e in g.edges:
         if e.is_loop:
@@ -117,13 +140,15 @@ def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None
         elif e.id in bridges:
             continue
         else:
-            dist = _dijkstra(g, e.u, w, allowed=lambda eid: eid != e.id)
+            limit = None if best is None else best - w[e.id]
+            dist = _dijkstra(g, e.u, w, allowed=lambda eid: eid != e.id,
+                             target=e.v, limit=limit)
             if e.v not in dist:
                 continue
             cand = w[e.id] + dist[e.v]
         if best is None or cand < best:
             best = cand
-    return best
+    return None if best is None else Fraction(best, den)
 
 
 def cycles_up_to_length(g: MetricGraph, bound: Fraction,
@@ -135,17 +160,18 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
     paths between the anchor's endpoints using only larger ids, pruned by
     exact shortest-path lower bounds.
     """
-    w = _as_weights(g, weights)
-    bound = Fraction(bound)
+    w, den = _scaled(g, weights)
     if bound < 0:
         return ()
+    limit = _scaled_floor(bound, den)
     bridges = bridge_ids(g)
     found: list[Cycle] = []
     adj = g.adjacency
+    edge_by_id = g.edge_by_id
 
     for anchor in g.edges:
         aid = anchor.id
-        if w[aid] > bound:
+        if w[aid] > limit:
             continue
         if anchor.is_loop:
             found.append(Cycle.make(g, ((aid, 0),)))
@@ -159,25 +185,29 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
             return eid > _aid and eid not in bridges
 
         goal = anchor.u
-        dist_to_goal = _dijkstra(g, goal, w, allowed=usable)
-        budget = bound - w[aid]
-        if dist_to_goal.get(anchor.v, None) is None or dist_to_goal[anchor.v] > budget:
+        budget = limit - w[aid]
+        dist_to_goal = _dijkstra(g, goal, w, allowed=usable, limit=budget)
+        if anchor.v not in dist_to_goal:
             continue
 
         # DFS over simple paths anchor.v -> anchor.u on edges with id > aid
-        def dfs(x: int, used: Fraction, visited: set[int], steps: list[tuple[int, int]]):
-            for eid, y in adj[x]:
-                if not usable(eid):
+        # (``usable``, inlined: this is the hottest loop); a frame is (vertex,
+        # path weight, its remaining incident edges).  A loop at x leads back
+        # to x, which is visited.
+        visited = {anchor.v, goal}
+        steps: list[tuple[int, int]] = []
+        stack = [(anchor.v, 0, iter(adj[anchor.v]))]
+        while stack:
+            x, used, todo = stack[-1]
+            for eid, y in todo:
+                if eid <= aid or eid in bridges:
                     continue
-                e = g.edge_by_id[eid]
-                if e.is_loop:
-                    continue
+                e = edge_by_id[eid]
                 nd = used + w[eid]
                 if y == goal:
                     if nd <= budget:
                         direction = 0 if x == e.u else 1
-                        cyc = Cycle.make(g, [(aid, 0)] + steps + [(eid, direction)])
-                        found.append(cyc)
+                        found.append(Cycle.make(g, [(aid, 0)] + steps + [(eid, direction)]))
                         if len(found) > cap:
                             raise BudgetExceeded(
                                 f"more than {cap} cycles within bound", len(found))
@@ -187,17 +217,19 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
                 lb = dist_to_goal.get(y)
                 if lb is None or nd + lb > budget:
                     continue
-                direction = 0 if x == e.u else 1
                 visited.add(y)
-                steps.append((eid, direction))
-                dfs(y, nd, visited, steps)
-                steps.pop()
-                visited.discard(y)
-
-        dfs(anchor.v, Fraction(0), {anchor.v, goal}, [])
+                steps.append((eid, 0 if x == e.u else 1))
+                stack.append((y, nd, iter(adj[y])))
+                break
+            else:
+                stack.pop()
+                if stack:
+                    steps.pop()
+                    visited.discard(x)
 
     uniq = sorted(set(found), key=Cycle.sort_key)
-    assert len(uniq) == len(found), "anchored enumeration emitted a duplicate"
+    if len(uniq) != len(found):
+        raise InvariantViolation("anchored enumeration emitted a duplicate cycle")
     return tuple(uniq)
 
 
@@ -209,10 +241,10 @@ def minimum_cycles(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = N
     if girth is None:
         raise NoCycle("graph has no embedded cycle")
     cycles = cycles_up_to_length(g, girth, weights=weights, cap=cap)
-    w = _as_weights(g, weights)
-    assert cycles and all(
-        sum((w[eid] for eid, _ in c.steps), Fraction(0)) == girth for c in cycles
-    )
+    w, den = _scaled(g, weights)
+    scaled_girth = girth * den
+    if not cycles or any(sum(w[eid] for eid, _ in c.steps) != scaled_girth for c in cycles):
+        raise InvariantViolation(f"the minimum cycles found do not all have length {girth}")
     return girth, cycles
 
 
@@ -239,14 +271,14 @@ def shortest_cycle_above(g: MetricGraph, weights: Optional[Mapping[int, Fraction
     exact k-shortest-paths enumeration), skipping totals <= threshold and
     pruning at the best candidate found so far.
     """
-    w = _as_weights(g, weights)
-    threshold = Fraction(threshold)
-    best: Optional[tuple[Fraction, Cycle]] = None
+    w, den = _scaled(g, weights)
+    threshold = _scaled_floor(threshold, den)
+    best: Optional[tuple[int, Cycle]] = None
     bridges = bridge_ids(g)
     adj = g.adjacency
     expansions = 0
 
-    def better(length: Fraction, cyc: Cycle) -> bool:
+    def better(length: int, cyc: Cycle) -> bool:
         return best is None or (length, cyc.sort_key()) < (best[0], best[1].sort_key())
 
     for e in g.edges:
@@ -262,7 +294,7 @@ def shortest_cycle_above(g: MetricGraph, weights: Optional[Mapping[int, Fraction
         if e.v not in h:
             continue
         counter = itertools.count()
-        start = (h[e.v], next(counter), Fraction(0), e.v, (), frozenset((e.v,)))
+        start = (h[e.v], next(counter), 0, e.v, (), frozenset((e.v,)))
         heap = [start]
         while heap:
             f, _, glen, x, steps, visited = heapq.heappop(heap)
@@ -298,4 +330,4 @@ def shortest_cycle_above(g: MetricGraph, weights: Optional[Mapping[int, Fraction
                 heapq.heappush(heap, (ng + hy, next(counter), ng, y,
                                       steps + ((eid, direction),),
                                       visited | {y}))
-    return best
+    return None if best is None else (Fraction(best[0], den), best[1])

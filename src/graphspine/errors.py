@@ -66,6 +66,12 @@ class BudgetExceeded(GraphSpineError):
         self.count = count
 
 
+class InvariantViolation(GraphSpineError):
+    """A computed answer failed its own postcondition.  Signals a bug, not a
+    property of the input; raised explicitly, so it also holds under
+    ``python -O``."""
+
+
 # ---------------------------------------------------------------------------
 # graph surgery
 

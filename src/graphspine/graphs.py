@@ -447,15 +447,24 @@ def relabel_graph(g: MetricGraph, vertex_map: Sequence[int], edge_map: Mapping[i
 # file format
 
 
+def _parse_int(token: str) -> int:
+    """An optional ``-`` and ASCII digits, nothing else: ``int()`` alone also
+    takes ``+1``, ``1_0`` and non-ASCII digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _parse_fraction(token: str, lineno: int, line: str) -> Fraction:
     try:
         if "/" in token:
             num_s, den_s = token.split("/", 1)
-            num, den = int(num_s), int(den_s)
+            num, den = _parse_int(num_s), _parse_int(den_s)
             if den == 0:
                 raise MalformedLine(lineno, line, "zero denominator")
             return Fraction(num, den)
-        return Fraction(int(token))
+        return Fraction(_parse_int(token))
     except ValueError:
         raise MalformedLine(lineno, line, f"not a rational: {token!r}") from None
 
@@ -492,7 +501,7 @@ def parse_graph_file(text: str):
             if len(parts) != 5:
                 raise MalformedLine(lineno, raw, "edge line needs: id u v length")
             try:
-                eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+                eid, u, v = _parse_int(parts[1]), _parse_int(parts[2]), _parse_int(parts[3])
             except ValueError:
                 raise MalformedLine(lineno, raw, "edge ids and endpoints must be integers") from None
             length = _parse_fraction(parts[4], lineno, raw)
@@ -507,7 +516,7 @@ def parse_graph_file(text: str):
             for tok in rest.split():
                 try:
                     eid_s, end_s = tok.split(".")
-                    darts.append((int(eid_s), int(end_s)))
+                    darts.append((_parse_int(eid_s), _parse_int(end_s)))
                 except ValueError:
                     raise MalformedLine(lineno, raw, f"bad dart {tok!r}") from None
             if v in rotations:
@@ -516,7 +525,7 @@ def parse_graph_file(text: str):
         elif kind == "twists":
             for tok in parts[1:]:
                 try:
-                    twists.add(int(tok))
+                    twists.add(_parse_int(tok))
                 except ValueError:
                     raise MalformedLine(lineno, raw, f"bad twist id {tok!r}") from None
         else:

@@ -1,8 +1,22 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import graphspine
 from graphspine.graphs import Edge, MetricGraph
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with ``args``, importing the graphspine under test."""
+    src = str(Path(graphspine.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
 
 
 def make_theta(a=Fraction(1, 3), b=Fraction(1, 3), c=Fraction(1, 3)) -> MetricGraph:

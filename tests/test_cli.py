@@ -6,7 +6,7 @@ import pytest
 from graphspine.cli import main
 from graphspine.graphs import parse_graph, serialize_graph
 
-from .conftest import make_theta
+from .conftest import make_theta, run_python
 
 RATIONAL = r"^-?\d+/\d+$"
 
@@ -100,6 +100,12 @@ def test_verify_paper(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "klein-conditional-chain" in out
+
+
+def test_python_m_entry_point():
+    proc = run_python("-m", "graphspine", "--json", "verify-paper")
+    assert proc.returncode == 0, proc.stderr
+    assert "klein-conditional-chain" in proc.stdout
 
 
 def test_verify_paper_filter(capsys):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphspine.errors import BudgetExceeded, NoCycle
-from graphspine.graphs import Edge, MetricGraph, cycle_length, relabel_cycle
+from graphspine.flow import _leg_lengths
+from graphspine.graphs import Edge, MetricGraph, cycle_length, normalize_volume, relabel_cycle
 from graphspine.cycles import (
     all_systoles,
     bridge_ids,
@@ -16,7 +18,8 @@ from graphspine.cycles import (
 )
 from graphspine.datasets import bundled_dataset, bundled_graph
 
-from .oracles import oracle_cycles, oracle_length, oracle_systoles
+from .conftest import run_python
+from .oracles import oracle_cycles, oracle_length, oracle_support, oracle_systoles
 from .strategies import multigraphs, random_relabeling
 
 
@@ -36,6 +39,16 @@ def test_girth_unit_klein():
     g = bundled_graph("klein_73")
     length, _ = shortest_cycle(g)  # bundled skeleton has unit lengths
     assert length == 7
+
+
+def test_girth_beats_the_first_candidate_by_one_unit():
+    # edge 0 closes a triangle first; the 2-cycle on edges 3, 4 must still
+    # win, although its search is cut at one unit below the best so far
+    one = Fraction(1)
+    pairs = [(0, 1), (1, 2), (2, 0), (3, 4), (3, 4), (2, 3)]
+    g = MetricGraph(5, tuple(Edge(i, u, v, one) for i, (u, v) in enumerate(pairs)), "tri-bigon")
+    girth, (witness,) = minimum_cycles(g)
+    assert girth == 2 and witness.edge_ids == {3, 4}
 
 
 def test_no_cycle_on_tree():
@@ -86,6 +99,30 @@ def test_heawood_six_cycles_exceed_faces():
 def test_budget_cap(k4):
     with pytest.raises(BudgetExceeded):
         cycles_up_to_length(k4, Fraction(2, 3), cap=3)
+
+
+def test_long_ring_enumerates_without_recursion():
+    n = 1500
+    ring = MetricGraph(n, tuple(Edge(i, i, (i + 1) % n, Fraction(1)) for i in range(n)), "ring")
+    cycles = cycles_up_to_length(ring, Fraction(n))
+    assert len(cycles) == 1 and len(cycles[0]) == n
+
+
+def test_minimum_cycles_postcondition_survives_optimize():
+    # under -O a bare assert would let (girth, ()) through
+    proc = run_python("-O", "-c", "\n".join([
+        "from graphspine import cycles",
+        "from graphspine.datasets import bundled_graph",
+        "from graphspine.errors import InvariantViolation",
+        "true_girth = cycles.girth_value",
+        "cycles.girth_value = lambda g, weights=None: true_girth(g, weights) / 2",
+        "try:",
+        "    print(__debug__, cycles.minimum_cycles(bundled_graph('theta')))",
+        "except InvariantViolation:",
+        "    print(__debug__, 'InvariantViolation')",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "InvariantViolation"]
 
 
 def test_bridges_excluded(dumbbell_eq):
@@ -158,3 +195,39 @@ def test_systoles_commute_with_relabeling(g):
     mangled, _, emap = random_relabeling(random.Random(11), g)
     mapped = {relabel_cycle(c, emap) for c in all_systoles(g)}
     assert mapped == set(all_systoles(mangled))
+
+
+@st.composite
+def flow_weighted(draw):
+    """A volume-1 multigraph with the lengths the flow gives it at a random
+    mu in (1, 1/s), s the length of the systole support: large coprime
+    denominators."""
+    g = normalize_volume(draw(multigraphs(max_edges=9)))
+    support, _, s = oracle_support(g)
+    assume(s < 1)
+    p = draw(st.integers(min_value=1, max_value=10**4 - 1))
+    mu = 1 + (1 / s - 1) * Fraction(p, 10**4)
+    return g, _leg_lengths(g, frozenset(support), s, mu)
+
+
+@given(flow_weighted())
+@settings(max_examples=150, deadline=None)
+def test_weighted_minimum_cycles_match_oracle(case):
+    g, weights = case
+    girth, mins = minimum_cycles(g, weights=weights)
+    oracle_girth, oracle_mins = oracle_systoles(g.with_lengths(weights))
+    assert girth == oracle_girth
+    assert set(mins) == oracle_mins
+
+
+@given(flow_weighted())
+@settings(max_examples=150, deadline=None)
+def test_weighted_bounded_enumeration_matches_oracle(case):
+    g, weights = case
+    weighted = g.with_lengths(weights)
+    everything = oracle_cycles(weighted)
+    lengths = sorted({oracle_length(weighted, c) for c in everything})
+    # the girth itself (the bound is tied) and the next length when it exists
+    for bound in lengths[:2]:
+        got = set(cycles_up_to_length(g, bound, weights=weights))
+        assert got == {c for c in everything if oracle_length(weighted, c) <= bound}

@@ -54,6 +54,14 @@ def test_parse_rejects_zero_length():
         parse_graph("graph g\nvertices 2\nedge 0 0 1 0/1\nedge 1 0 1 1/2\n")
 
 
+def test_parse_negative_numbers_reach_validation():
+    # a leading minus parses, so the graph checks, not the parser, refuse it
+    with pytest.raises(NonPositiveLength):
+        parse_graph("graph g\nvertices 2\nedge 0 0 1 -1/2\nedge 1 0 1 1/2\n")
+    with pytest.raises(InvalidGraph, match="negative edge id"):
+        parse_graph("graph g\nvertices 2\nedge -1 0 1 1/2\nedge 1 0 1 1/2\n")
+
+
 def test_parse_rejects_disconnected():
     text = "graph g\nvertices 4\nedge 0 0 1 1/2\nedge 1 2 3 1/2\n"
     with pytest.raises(Disconnected):
@@ -78,6 +86,17 @@ def test_parse_rejects_garbage():
         parse_graph("graph g\nvertices \u00b2\n")
     with pytest.raises(MalformedLine):
         parse_graph("graph g\nvertices 2\nedge 0 0 1 1/1\nrotation \u00b9: 0.1\n")
+    # int() alone takes digit separators, a plus sign and non-ASCII digits
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 2\nedge 0 0 1 1_0\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 2\nedge 0 0 1 +1\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 2\nedge \u0661 0 1 1/1\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 1\nedge 0 0 0 1/1\nrotation 0: +0.0 0.1\n")
+    with pytest.raises(MalformedLine):
+        parse_graph("graph g\nvertices 1\nedge 0 0 0 1/1\ntwists 0_0\n")
 
 
 def test_serialize_parse_roundtrip(theta):
