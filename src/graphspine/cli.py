@@ -50,24 +50,18 @@ def _fmt(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _jsonable(obj: Any) -> Any:
+def _fraction_json(obj: Any) -> str:
     if isinstance(obj, Fraction):
         return _fmt(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, float, str)):
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, frozenset):
-        return sorted(_jsonable(v) for v in obj)
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
+def _to_json(payload: Any) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, default=_fraction_json)
+
+
 def _emit_json(payload: Any) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(_to_json(payload))
 
 
 def _load_text(spec: str) -> str:
@@ -190,7 +184,7 @@ def cmd_retract(args) -> int:
         },
     }
     if args.trace:
-        Path(args.trace).write_text(json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+        Path(args.trace).write_text(_to_json(payload) + "\n")
     if args.json:
         _emit_json(payload)
         return 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import NotStrictlyShorter
+from .errors import InvariantViolation, NotStrictlyShorter
 from .graphs import Cycle, MetricGraph, cycle_length, rank, require_outer_space
 from .cycles import minimum_cycles
 
@@ -129,7 +129,8 @@ def local_deformation_dimension(g: MetricGraph,
     rank_diff = rational_rank(diff_rows)
     dim = g.num_edges - 1 - rank_diff
     lower = g.num_edges - len(family)
-    assert dim >= lower
+    if dim < lower:
+        raise InvariantViolation(f"deformation dimension {dim} is below E - F = {lower}")
     # the base lengths themselves are a strictly positive solution of the
     # homogeneous difference system, so a positive direction always exists
     # at a certified base point; recorded explicitly rather than assumed

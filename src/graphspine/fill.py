@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import NotOuterSpace
+from .errors import InvariantViolation, NotOuterSpace
 from .graphs import Cycle, MetricGraph, _DisjointSets, cycle_vertices, rank
 from .cycles import all_systoles
 from .homology import LatticeVerdict, is_well_rounded
@@ -94,6 +94,6 @@ def classify_membership(g: MetricGraph) -> Membership:
     in_v = _complement_is_forest(g, support)
     in_vprime = support.covers(g)
     m = Membership(well, in_v, in_vprime, verdict, support)
-    assert not m.in_W or m.in_V
-    assert not m.in_Vprime or m.in_V
+    if (m.in_W or m.in_Vprime) and not m.in_V:
+        raise InvariantViolation(f"{g.name} lies in W or V' but not in V")
     return m

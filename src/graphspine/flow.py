@@ -13,21 +13,23 @@ forest, which is then contracted and a new stage begins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 from .errors import (
     CapExceeded,
+    ContractionOfCycle,
     DegenerateStage,
     FlowStateError,
+    InvariantViolation,
     NotUnitVolume,
     ParameterOutOfRange,
 )
 from .graphs import (
     Cycle,
+    EdgeCorrespondence,
     MetricGraph,
-    _DisjointSets,
     contract_forest,
     cycle_length,
     rank,
@@ -71,11 +73,10 @@ class FlowState:
         )
 
     def check(self) -> None:
-        assert self.graph.volume == 1
-        assert all(cycle_length(self.graph, c) == self.sigma for c in self.systoles)
-        assert self.sigma == self.u * self.stage_sigma
-        assert 1 <= self.u
-        assert self.u * self.stage_s <= 1
+        if not (1 <= self.u and self.u * self.stage_s <= 1
+                and self.sigma == self.u * self.stage_sigma and self.graph.volume == 1
+                and all(cycle_length(self.graph, c) == self.sigma for c in self.systoles)):
+            raise InvariantViolation(f"flow state at u = {self.u} is off its stage line")
 
     @property
     def done(self) -> bool:
@@ -105,7 +106,8 @@ def flow_lengths_at(state: FlowState, u: Fraction) -> dict[int, Fraction]:
     if not (lo <= u <= hi):
         raise ParameterOutOfRange(f"u = {u} outside [{lo}, {hi}]")
     lengths = _leg_lengths(state.graph, state.support.edge_ids, s, u / state.u)
-    assert sum(lengths.values()) == 1
+    if sum(lengths.values()) != 1:
+        raise InvariantViolation(f"flow lengths at u = {u} do not sum to 1")
     return lengths
 
 
@@ -129,14 +131,11 @@ class Event:
     sigma_after: Fraction
 
 
-def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> None:
-    sets = _DisjointSets(g.num_vertices)
-    for eid in sorted(edge_ids):
-        e = g.edge_by_id[eid]
-        if e.is_loop:
-            raise DegenerateStage(f"non-systole loop {eid} survives to stage end")
-        if not sets.union(e.u, e.v):
-            raise DegenerateStage("non-systole edges contain a cycle at stage end")
+def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> tuple[MetricGraph, EdgeCorrespondence]:
+    try:
+        return contract_forest(g, edge_ids)
+    except ContractionOfCycle as exc:
+        raise DegenerateStage(f"non-systole edges at stage end: {exc}") from None
 
 
 def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, tuple[int, ...]]:
@@ -144,10 +143,10 @@ def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, t
     lengths at the event parameter."""
     g = state.graph
     t_ids = frozenset(e.id for e in g.edges if e.id not in state.support.edge_ids)
-    _forest_or_die(g, t_ids)
-    contracted, _ = contract_forest(g, t_ids)
+    contracted, _ = _forest_or_die(g, t_ids)
     scaled = contracted.with_lengths({eid: g.lengths[eid] * mu for eid in contracted.lengths})
-    assert scaled.volume == 1
+    if scaled.volume != 1:
+        raise InvariantViolation(f"contracted graph has volume {scaled.volume}")
     return scaled, tuple(sorted(t_ids))
 
 
@@ -174,44 +173,37 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
         weights = _leg_lengths(g, support_ids, s, mu)
         girth, mins = minimum_cycles(g, weights=weights, cap=cycle_cap)
         target = sigma * mu
-        assert girth <= target
+        if girth > target:
+            raise InvariantViolation(f"girth {girth} exceeds the systole length {target}")
         if girth == target:
             extras = tuple(c for c in mins if c not in systole_set)
-            if extras:
-                u_star = state.u * mu
-                if mu == mu_end:
-                    # tie exactly at stage end: the collapsed forest is
-                    # contracted in the same event
-                    graph_after, contracted = _contracted_snapshot(state, mu)
-                else:
-                    graph_after = g.with_lengths(weights)
-                    contracted = ()
-                return Event(
-                    kind=NEW_SYSTOLES, stage=state.stage_index, u_star=u_star,
-                    t_approx=math.log(float(u_star)), new_cycles=extras,
-                    contracted_edge_ids=contracted, graph_after=graph_after,
-                    sigma_after=sigma * mu,
-                )
-            assert mu == mu_end, "gap vanished strictly inside the leg with no new cycle"
-            graph_after, contracted = _contracted_snapshot(state, mu)
+            if mu == mu_end:
+                # the collapsed forest is contracted in this event, also when
+                # new cycles tie exactly at the stage end
+                graph_after, contracted = _contracted_snapshot(state, mu)
+            elif extras:
+                graph_after, contracted = g.with_lengths(weights), ()
+            else:
+                raise InvariantViolation(
+                    "gap vanished strictly inside the leg with no new cycle")
             u_star = state.u * mu
             return Event(
-                kind=STAGE_COMPLETE, stage=state.stage_index, u_star=u_star,
-                t_approx=math.log(float(u_star)), new_cycles=(),
-                contracted_edge_ids=contracted, graph_after=graph_after,
-                sigma_after=sigma * mu,
+                kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
+                u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
+                contracted_edge_ids=contracted, graph_after=graph_after, sigma_after=target,
             )
         # Newton step: move to the largest crossing not above any active line
         roots = []
         for c in mins:
             a = sum((g.lengths[eid] for eid in c.edge_ids if eid in support_ids), Fraction(0))
             b = sum((g.lengths[eid] for eid in c.edge_ids if eid not in support_ids), Fraction(0))
-            assert b > 0, "an all-systole-edge cycle cannot cross the systole length"
             denom = (sigma - a) * (1 - s) + b * s
-            assert denom > 0
+            if not (b > 0 and denom > 0):
+                raise InvariantViolation(f"cycle {c.format()} cannot cross the systole length")
             roots.append(b / denom)
         nxt = min(roots)
-        assert 1 < nxt < mu
+        if not 1 < nxt < mu:
+            raise InvariantViolation(f"Newton step to {nxt} leaves (1, {mu})")
         mu = nxt
     raise DegenerateStage("event search failed to converge")
 
@@ -219,24 +211,19 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
 def apply_event(state: FlowState, event: Event,
                 cycle_cap: int = DEFAULT_CYCLE_CAP) -> FlowState:
     g2 = event.graph_after
-    sigma2, systoles2 = minimum_cycles(g2, cap=cycle_cap)
-    support2 = support_of(g2, systoles2)
-    if event.kind == NEW_SYSTOLES and not event.contracted_edge_ids:
-        # same stage continues with the enlarged systole set
-        assert sigma2 == event.sigma_after
-        assert set(systoles2) == set(state.systoles) | set(event.new_cycles)
-        new_state = FlowState(
-            graph=g2, systoles=systoles2, support=support2, sigma=sigma2,
-            u=event.u_star, stage_sigma=state.stage_sigma, stage_s=state.stage_s,
-            stage_index=state.stage_index,
-        )
+    if event.contracted_edge_ids:
+        new_state = replace(FlowState.initial(g2, cycle_cap), stage_index=state.stage_index + 1)
     else:
-        assert sigma2 == event.sigma_after
-        new_state = FlowState(
-            graph=g2, systoles=systoles2, support=support2, sigma=sigma2,
-            u=Fraction(1), stage_sigma=sigma2, stage_s=support2.total_length,
-            stage_index=state.stage_index + 1,
-        )
+        # same stage continues with the enlarged systole set, on more edges
+        sigma2, systoles2 = minimum_cycles(g2, cap=cycle_cap)
+        new_state = replace(state, graph=g2, systoles=systoles2,
+                            support=support_of(g2, systoles2), sigma=sigma2, u=event.u_star)
+        if not (state.support.edge_ids < new_state.support.edge_ids
+                and set(systoles2) == set(state.systoles) | set(event.new_cycles)):
+            raise InvariantViolation("the new systoles are not those the event found")
+    if new_state.sigma != event.sigma_after:
+        raise InvariantViolation(f"systole length {new_state.sigma} after the event, "
+                                 f"{event.sigma_after} predicted")
     new_state.check()
     return new_state
 
@@ -293,14 +280,9 @@ def retract_to_spine(g: MetricGraph, *, max_events_per_stage: Optional[int] = No
                 raise CapExceeded(
                     f"more than {contraction_cap} contractions", partial())
             stage_events = 0
-        prev_support = state.support
         state = apply_event(state, event, cycle_cap=cycle_cap)
         events.append(event)
-        if event.kind == NEW_SYSTOLES and not event.contracted_edge_ids:
-            assert prev_support.edge_ids < state.support.edge_ids, \
-                "support must grow at a new-systoles event"
 
-    assert state.support.covers(state.graph)
-    assert rank(state.graph) == rank(g)
-    return Trajectory(g, tuple(events), state.graph, state.systoles,
-                      state.sigma, state.support)
+    if rank(state.graph) != rank(g):
+        raise InvariantViolation(f"the flow changed the rank from {rank(g)} to {rank(state.graph)}")
+    return partial()

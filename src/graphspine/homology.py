@@ -8,10 +8,9 @@ analyzed through an exact Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import ForeignCycle, InvalidGraph
+from .errors import ForeignCycle, InvalidGraph, InvariantViolation
 from .graphs import Cycle, MetricGraph, rank
 from .cycles import all_systoles
 
@@ -120,40 +119,21 @@ def _mat_mul(A, B):
             for i in range(rows)]
 
 
-def _det(M) -> Fraction:
-    n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            A[col], A[pivot] = A[pivot], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = Fraction(1) / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col]:
-                f = A[r][col] * inv
-                for c in range(col, n):
-                    A[r][c] -= f * A[col][c]
-    return det
-
-
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = None) -> SmithNormalForm:
     """Exact integer Smith normal form with unimodular U, W.
 
     Row and column operations only (swap, negate, add integer multiple), with
     the pivot chosen as the smallest nonzero entry to keep coefficients tame.
-    In test builds the factorization U*A*W == D and |det| = 1 are re-checked
-    on every call.
+    U and W are built by the same operations as D, so they are unimodular by
+    construction.  Every call re-checks U*A*W == D and the divisor chain and
+    raises InvariantViolation if either fails; a row whose length is not
+    ``ncols`` raises ValueError.
     """
     m = len(matrix)
     n = ncols if ncols is not None else (len(matrix[0]) if m else 0)
     D = [[int(x) for x in row] for row in matrix]
-    for row in D:
-        assert len(row) == n
+    if any(len(row) != n for row in D):
+        raise ValueError(f"every row of the matrix must have {n} entries")
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -213,10 +193,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = No
                     if D[t][j] != 0:
                         swap_cols(t, j)
                         dirty = True
-            if dirty:
-                continue
-            if all(D[i][t] == 0 for i in range(t + 1, m)) and all(
-                    D[t][j] == 0 for j in range(t + 1, n)):
+            # a clean row pass only added multiples of the cleared column t
+            if not dirty:
                 break
         # enforce divisibility of the remaining block by the pivot
         offender = next(((i, j) for i in range(t + 1, m) for j in range(t + 1, n)
@@ -229,16 +207,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = No
         t += 1
 
     divisors = tuple(D[k][k] for k in range(min(m, n)) if D[k][k] != 0)
-    result = SmithNormalForm(
+    if (any(b % a for a, b in zip(divisors, divisors[1:]))
+            or _mat_mul(_mat_mul(U, [list(r) for r in matrix]), W) != D):
+        raise InvariantViolation("Smith normal form fails U*A*W == D or the divisor chain")
+    return SmithNormalForm(
         U=tuple(tuple(r) for r in U),
         D=tuple(tuple(r) for r in D),
         W=tuple(tuple(r) for r in W),
         divisors=divisors,
     )
-    assert _mat_mul(_mat_mul(U, [list(r) for r in matrix]), W) == D
-    assert abs(_det(U)) == 1 and abs(_det(W)) == 1
-    assert all(divisors[i + 1] % divisors[i] == 0 for i in range(len(divisors) - 1))
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvalidGraph, InvalidMap, MalformedLine, NotCubic
+from .errors import InvalidGraph, InvalidMap, InvariantViolation, MalformedLine, NotCubic
 from .graphs import (
     Cycle,
     Edge,
@@ -208,7 +208,6 @@ def _faces_twisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
             remaining.discard(s)
             s = step(s)
         orbits.append(tuple(walk))
-    assert len(orbits) % 2 == 0
     by_key: dict[tuple[int, ...], list[tuple[Dart, ...]]] = {}
     for orbit in orbits:
         edge_walk = tuple(d[0] for d in orbit)
@@ -216,7 +215,8 @@ def _faces_twisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
     faces: list[tuple[Dart, ...]] = []
     for key in sorted(by_key):
         group = sorted(by_key[key])
-        assert len(group) % 2 == 0, "face traversals must pair up"
+        if len(group) % 2:
+            raise InvariantViolation("face traversals must pair up")
         faces.extend(group[: len(group) // 2])
     return faces
 
@@ -230,13 +230,14 @@ def trace_faces(m: CombinatorialMap) -> MapFaces:
     g = m.graph
     euler = g.num_vertices - g.num_edges + len(faces)
     orientable = m.is_orientable
+    if sum(len(f) for f in faces) != 2 * g.num_edges or (orientable and euler % 2):
+        raise InvariantViolation(f"faces of {g.name} do not partition the darts "
+                                 f"of a surface with chi = {euler}")
     genus = crosscaps = None
     if orientable:
-        assert (2 - euler) % 2 == 0
         genus = (2 - euler) // 2
     else:
         crosscaps = 2 - euler
-    assert sum(len(f) for f in faces) == 2 * g.num_edges
     return MapFaces(faces, euler, orientable, genus, crosscaps)
 
 

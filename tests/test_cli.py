@@ -108,6 +108,13 @@ def test_python_m_entry_point():
     assert "klein-conditional-chain" in proc.stdout
 
 
+def test_verify_paper_same_under_optimize():
+    plain = run_python("-m", "graphspine", "--json", "verify-paper")
+    optimized = run_python("-O", "-m", "graphspine", "--json", "verify-paper")
+    assert plain.returncode == 0, plain.stderr
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+
+
 def test_verify_paper_filter(capsys):
     code, out, _ = run_cli(capsys, "verify-paper", "--filter", "klein")
     assert code == 0

@@ -28,7 +28,7 @@ from graphspine.flow import (
     retract_to_spine,
 )
 
-from .conftest import make_theta
+from .conftest import make_theta, run_python
 from .strategies import outer_graphs, random_outer_graph, random_relabeling
 
 
@@ -222,3 +222,24 @@ def test_forest_check_flags_cycles(theta):
     with pytest.raises(DegenerateStage):
         _forest_or_die(theta, frozenset({0, 1}))
     _forest_or_die(theta, frozenset({0}))
+
+
+def test_flow_invariants_survive_optimize():
+    # under -O bare asserts would let a doubled systole length through until
+    # the stage end failed with DegenerateStage
+    proc = run_python("-O", "-c", "\n".join([
+        "from graphspine import flow",
+        "from graphspine.datasets import bundled_graph",
+        "from graphspine.errors import InvariantViolation",
+        "true_minimum_cycles = flow.minimum_cycles",
+        "def doubled(g, **kwargs):",
+        "    girth, cycles = true_minimum_cycles(g, **kwargs)",
+        "    return 2 * girth, cycles",
+        "flow.minimum_cycles = doubled",
+        "try:",
+        "    print(__debug__, flow.retract_to_spine(bundled_graph('dumbbell_unequal')))",
+        "except InvariantViolation:",
+        "    print(__debug__, 'InvariantViolation')",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "InvariantViolation"]

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from graphspine.homology import (
     systole_lattice,
 )
 
+from .conftest import run_python
 from .oracles import oracle_lattice, oracle_systoles
 from .strategies import multigraphs
 
@@ -111,6 +113,30 @@ def test_snf_matches_sympy(rows):
     want_rank, want_divisors, _ = oracle_lattice(rows, 3)
     assert got.rank == want_rank
     assert got.divisors == want_divisors
+    # unimodularity is not re-checked at run time, so the oracle checks it here
+    U, W = sympy.Matrix(got.U), sympy.Matrix(got.W)
+    assert abs(U.det()) == abs(W.det()) == 1 and U * sympy.Matrix(rows) * W == sympy.Matrix(got.D)
+
+
+def test_snf_rejects_ragged_rows():
+    # under -O a bare assert would let this through as divisors (1, 6)
+    with pytest.raises(ValueError):
+        smith_normal_form([(2, 0), (0, 3, 5)])
+
+
+def test_snf_check_survives_optimize():
+    # under -O a bare assert would return a factorization that fails U*A*W == D
+    proc = run_python("-O", "-c", "\n".join([
+        "from graphspine import homology",
+        "from graphspine.errors import InvariantViolation",
+        "homology._mat_mul = lambda A, B: [[7]]",
+        "try:",
+        "    print(__debug__, homology.smith_normal_form([(2, 4), (-6, 6)]).divisors)",
+        "except InvariantViolation:",
+        "    print(__debug__, 'InvariantViolation')",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "InvariantViolation"]
 
 
 @given(multigraphs(max_edges=7))
