@@ -24,7 +24,6 @@ from graphspine.maps import (
     map_type_check,
     serialize_map,
     systoles_equal_faces,
-    trace_faces,
 )
 from graphspine.cycles import minimum_cycles
 
@@ -344,7 +343,7 @@ def props_for_graph(g: MetricGraph) -> dict:
 
 def props_for_map(m: CombinatorialMap, with_face_verdict: bool) -> dict:
     g = m.graph
-    faces = trace_faces(m)
+    faces = m.faces
     t = map_type_check(m)
     ft = flag_transitivity(m)
     girth, mins = minimum_cycles(m.skeleton_unit())
@@ -374,7 +373,7 @@ def props_for_map(m: CombinatorialMap, with_face_verdict: bool) -> dict:
     return props
 
 
-def write_props(name: str, props: dict) -> None:
+def write_props(out_dir: Path, name: str, props: dict) -> None:
     lines = []
     for key, value in props.items():
         if isinstance(value, bool):
@@ -382,11 +381,11 @@ def write_props(name: str, props: dict) -> None:
         elif isinstance(value, Fraction):
             value = f"{value.numerator}/{value.denominator}"
         lines.append(f"{key} {value}")
-    (DATA_DIR / f"{name}.props").write_text("\n".join(lines) + "\n")
+    (out_dir / f"{name}.props").write_text("\n".join(lines) + "\n")
 
 
-def main() -> None:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
+def main(out_dir: Path = DATA_DIR) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     maps = {
         "theta": theta_map(),
@@ -415,13 +414,13 @@ def main() -> None:
     for name, m in maps.items():
         g = m.graph
         object.__setattr__(g, "name", name)
-        faces = trace_faces(m)
+        faces = m.faces
         exp = expectations[name]
         assert g.num_vertices == exp["V"], (name, g.num_vertices)
         assert g.num_edges == exp["E"], (name, g.num_edges)
         assert faces.count == exp["F"], (name, faces.count)
-        (DATA_DIR / f"{name}.graph").write_text(serialize_map(m))
-        write_props(name, props_for_map(m, with_face_verdict=name != "klein_73"))
+        (out_dir / f"{name}.graph").write_text(serialize_map(m))
+        write_props(out_dir, name, props_for_map(m, with_face_verdict=name != "klein_73"))
         print(f"{name}: V={g.num_vertices} E={g.num_edges} F={faces.count} "
               f"chi={faces.euler_characteristic} orientable={faces.orientable}")
 
@@ -439,11 +438,11 @@ def main() -> None:
     assert are_isomorphic(petersen, reference) is not None, "hemi skeleton is not Petersen"
 
     for name, g in graphs.items():
-        (DATA_DIR / f"{name}.graph").write_text(serialize_graph(g))
-        write_props(name, props_for_graph(g))
+        (out_dir / f"{name}.graph").write_text(serialize_graph(g))
+        write_props(out_dir, name, props_for_graph(g))
         print(f"{name}: V={g.num_vertices} E={g.num_edges}")
 
-    print("datasets written to", DATA_DIR)
+    print("datasets written to", out_dir)
 
 
 if __name__ == "__main__":

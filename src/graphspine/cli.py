@@ -40,7 +40,6 @@ from .maps import (
     map_type_check,
     parse_map,
     systoles_equal_faces,
-    trace_faces,
 )
 from .datasets import DATASET_NAMES, dataset_text
 from .verify import FAIL, run_checks
@@ -184,7 +183,10 @@ def cmd_retract(args) -> int:
         },
     }
     if args.trace:
-        Path(args.trace).write_text(_to_json(payload) + "\n")
+        try:
+            Path(args.trace).write_text(_to_json(payload) + "\n")
+        except OSError as exc:
+            raise GraphSpineError(f"cannot write {args.trace}: {exc}") from None
     if args.json:
         _emit_json(payload)
         return 0
@@ -236,7 +238,7 @@ def cmd_dimension(args) -> int:
 
 def cmd_map_check(args) -> int:
     m = parse_map(_load_text(args.file))
-    faces = trace_faces(m)
+    faces = m.faces
     t = map_type_check(m)
     ft = flag_transitivity(m)
     payload: dict[str, Any] = {
@@ -319,6 +321,13 @@ def cmd_verify_paper(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cap(text: str) -> int:
+    """argparse type of the search caps: a plain integer >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphspine",
@@ -327,42 +336,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit a structured report")
     parser.add_argument("--permissive", action="store_true",
                         help="allow vertices of degree 1 or 2 and rank 1 graphs")
-    parser.add_argument("--cycle-cap", type=int, default=DEFAULT_CYCLE_CAP,
+    parser.add_argument("--cycle-cap", type=_cap, default=DEFAULT_CYCLE_CAP,
                         help="abort enumeration beyond this many cycles")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="systoles, lattice, fill and membership report")
     p.add_argument("file", help="graph file or bundled dataset name")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("retract", help="run the retraction flow to the covered locus")
     p.add_argument("file")
     p.add_argument("--trace", help="write the trajectory as JSON to this path")
-    p.add_argument("--max-events", type=int, default=None,
+    p.add_argument("--max-events", type=_cap, default=None,
                    help="cap on new-systole events per stage")
-    p.add_argument("--max-contractions", type=int, default=None)
-    p.set_defaults(func=cmd_retract)
+    p.add_argument("--max-contractions", type=_cap, default=None)
 
     p = sub.add_parser("dimension", help="systole-preserving deformation dimension")
     p.add_argument("file")
-    p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("map-check", help="faces, type, symmetry and cycle checks of a map")
     p.add_argument("file")
-    p.set_defaults(func=cmd_map_check)
 
     p = sub.add_parser("verify-paper", help="run the bundled verification suite")
     p.add_argument("--filter", default=None, help="only run checks whose name contains this")
-    p.set_defaults(func=cmd_verify_paper)
 
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # looked up at each call, so a rebound cmd_* is the one that runs
+    commands = {"analyze": cmd_analyze, "retract": cmd_retract, "dimension": cmd_dimension,
+                "map-check": cmd_map_check, "verify-paper": cmd_verify_paper}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except GraphSpineError as exc:
         message = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         if args.json:

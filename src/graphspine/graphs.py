@@ -75,13 +75,9 @@ class MetricGraph:
             return True
         reached = {0}
         stack = [0]
-        adj: dict[int, list[int]] = {}
-        for e in self.edges:
-            adj.setdefault(e.u, []).append(e.v)
-            adj.setdefault(e.v, []).append(e.u)
         while stack:
             x = stack.pop()
-            for y in adj.get(x, ()):
+            for _, y in self.adjacency[x]:
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
@@ -114,7 +110,7 @@ class MetricGraph:
         return {e.id: e.length for e in self.edges}
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges for x in (e.u, e.v) if x == v)
+        return len(self.adjacency[v])
 
     @property
     def num_edges(self) -> int:
@@ -156,9 +152,8 @@ def _least_rotation(seq: tuple, reversal: tuple) -> tuple:
     """Lexicographically minimal rotation of a cyclic sequence or of its
     given reversal.
 
-    Gives one distinguished representative per unoriented cyclic curve (or
-    face walk), which is what makes cycle sets diffable and reports
-    deterministic.
+    Gives one distinguished representative per unoriented cyclic curve,
+    which is what makes cycle sets diffable and reports deterministic.
     """
     k = len(seq)
     return min([seq[i:] + seq[:i] for i in range(k)]

@@ -8,8 +8,8 @@ sigma o alpha.
 
 Non-orientable embeddings are supported through an optional set of twisted
 edges (a signed rotation system); crossing a twisted edge flips the local
-sense of rotation.  For maps without twists everything reduces to the plain
-orientable conventions above.
+sense of rotation.  One signed tracer serves both kinds of map; without
+twists it reduces to the plain sigma o alpha orbits above.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidGraph, InvalidMap, InvariantViolation, MalformedLine, NotCubic
-from .graphs import (
-    Cycle,
-    Edge,
-    MetricGraph,
-    _least_rotation,
-    parse_graph_file,
-    rank,
-    serialize_graph,
-)
+from .graphs import Cycle, Edge, MetricGraph, parse_graph_file, rank, serialize_graph
 from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
 
 Dart = tuple[int, int]
@@ -56,17 +48,6 @@ class CombinatorialMap:
         for eid in self.twists:
             if eid not in g.edge_by_id:
                 raise InvalidMap(f"twist on unknown edge {eid}")
-        if g.num_edges:
-            reached = {self.darts[0]}
-            stack = [self.darts[0]]
-            while stack:
-                d = stack.pop()
-                for nd in (self.alpha[d], self.sigma[d]):
-                    if nd not in reached:
-                        reached.add(nd)
-                        stack.append(nd)
-            if len(reached) != len(self.darts):
-                raise InvalidMap("alpha and sigma do not act transitively on the darts")
 
     # -- permutations -------------------------------------------------------
 
@@ -123,6 +104,10 @@ class CombinatorialMap:
             for e in g.edges
         )
 
+    @cached_property
+    def faces(self) -> MapFaces:
+        return trace_faces(self)
+
     def skeleton_unit(self) -> MetricGraph:
         g = self.graph
         ones = tuple(Edge(e.id, e.u, e.v, Fraction(1)) for e in g.edges)
@@ -136,7 +121,6 @@ class CombinatorialMap:
 @dataclass(frozen=True)
 class FaceWalk:
     darts: tuple[Dart, ...]
-    edge_walk: tuple[int, ...]
     embedded: bool
     cycle: Optional[Cycle]
 
@@ -158,80 +142,52 @@ class MapFaces:
 
 
 def _walk_to_face(m: CombinatorialMap, walk: Sequence[Dart]) -> FaceWalk:
-    g = m.graph
-    edge_walk = tuple(eid for eid, _ in walk)
-    embedded = True
-    cycle: Optional[Cycle] = None
     try:
-        cycle = Cycle.make(g, [(eid, end) for eid, end in walk])
+        return FaceWalk(tuple(walk), True, Cycle.make(m.graph, walk))
     except InvalidGraph:
-        embedded = False
-    return FaceWalk(tuple(walk), edge_walk, embedded, cycle)
+        return FaceWalk(tuple(walk), False, None)
 
 
-def _faces_untwisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
-    remaining = set(m.darts)
-    orbits: list[tuple[Dart, ...]] = []
-    while remaining:
-        start = min(remaining)
-        walk = [start]
-        remaining.discard(start)
-        d = m.sigma[m.alpha[start]]
-        while d != start:
+def _face_orbits(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
+    """Each face once, as the darts of one boundary walk.
+
+    States are (dart, local sense); a step crosses the dart's edge, flipping
+    the sense on a twisted edge, and turns by sigma or its inverse.  A face
+    is covered by two state orbits, one per direction, and the reverse of
+    state (d, o) is (alpha(d), -o * twist(d)), so marking each traced state
+    and its reverse as seen traces every face exactly once.  Starts run
+    through (d, +1) in dart order before any (d, -1), so an untwisted map
+    gives exactly its sigma o alpha orbits.
+    """
+    seen: set[tuple[Dart, int]] = set()
+    walks: list[tuple[Dart, ...]] = []
+    for start in [(d, o) for o in (1, -1) for d in m.darts]:
+        if start in seen:
+            continue
+        walk = []
+        d, o = start
+        while True:
             walk.append(d)
-            remaining.discard(d)
-            d = m.sigma[m.alpha[d]]
-        orbits.append(tuple(walk))
-    return orbits
-
-
-def _faces_twisted(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
-    """General signed tracing: states are (dart, local orientation); each face
-    is covered by exactly two state orbits (one per traversal sense)."""
-    def step(state):
-        d, o = state
-        o2 = o * m.twist_sign(d[0])
-        d2 = m.alpha[d]
-        nd = m.sigma[d2] if o2 == 1 else m.sigma_inv[d2]
-        return (nd, o2)
-
-    states = [(d, o) for d in m.darts for o in (1, -1)]
-    remaining = set(states)
-    orbits: list[tuple[Dart, ...]] = []
-    while remaining:
-        start = min(remaining, key=lambda s: (s[0], -s[1]))
-        walk = [start[0]]
-        remaining.discard(start)
-        s = step(start)
-        while s != start:
-            walk.append(s[0])
-            remaining.discard(s)
-            s = step(s)
-        orbits.append(tuple(walk))
-    by_key: dict[tuple[int, ...], list[tuple[Dart, ...]]] = {}
-    for orbit in orbits:
-        edge_walk = tuple(d[0] for d in orbit)
-        by_key.setdefault(_least_rotation(edge_walk, edge_walk[::-1]), []).append(orbit)
-    faces: list[tuple[Dart, ...]] = []
-    for key in sorted(by_key):
-        group = sorted(by_key[key])
-        if len(group) % 2:
-            raise InvariantViolation("face traversals must pair up")
-        faces.extend(group[: len(group) // 2])
-    return faces
+            seen.add((d, o))
+            o *= m.twist_sign(d[0])
+            d = m.alpha[d]
+            seen.add((d, -o))
+            d = m.sigma[d] if o == 1 else m.sigma_inv[d]
+            if (d, o) == start:
+                break
+        walks.append(tuple(walk))
+    return walks
 
 
 def trace_faces(m: CombinatorialMap) -> MapFaces:
     """Faces of the embedding, with embeddedness of each boundary walk and
     the Euler characteristic V - E + F."""
-    orbit_walks = _faces_untwisted(m) if not m.twists else _faces_twisted(m)
-    faces = tuple(_walk_to_face(m, walk) for walk in
-                  sorted(orbit_walks, key=lambda wk: tuple(wk)))
+    faces = tuple(_walk_to_face(m, walk) for walk in sorted(_face_orbits(m)))
     g = m.graph
     euler = g.num_vertices - g.num_edges + len(faces)
     orientable = m.is_orientable
     if sum(len(f) for f in faces) != 2 * g.num_edges or (orientable and euler % 2):
-        raise InvariantViolation(f"faces of {g.name} do not partition the darts "
+        raise InvariantViolation(f"faces of {g.name} do not run twice along each edge "
                                  f"of a surface with chi = {euler}")
     genus = crosscaps = None
     if orientable:
@@ -256,7 +212,7 @@ class MapTypeReport:
 
 def map_type_check(m: CombinatorialMap) -> MapTypeReport:
     degrees = tuple(sorted(len(rot) for rot in m.rotations))
-    face_lengths = tuple(sorted(len(f) for f in trace_faces(m).faces))
+    face_lengths = tuple(sorted(len(f) for f in m.faces.faces))
     uniform = len(set(degrees)) == 1 and len(set(face_lengths)) == 1
     return MapTypeReport(
         uniform=uniform,
@@ -292,7 +248,7 @@ def euler_relations(m: CombinatorialMap) -> EulerRelations:
         raise NotCubic(f"need a uniform cubic map, got degrees {t.degree_multiset}")
     g = m.graph
     V, E = g.num_vertices, g.num_edges
-    F = trace_faces(m).count
+    F = m.faces.count
     p = t.p
     n = rank(g)
     return EulerRelations(
@@ -411,14 +367,14 @@ def systoles_equal_faces(m: CombinatorialMap, cap: int = DEFAULT_CYCLE_CAP) -> F
         raise InvalidMap("face/systole comparison needs a uniform map")
     skeleton = m.skeleton_unit()
     girth, mins = minimum_cycles(skeleton, cap=cap)
-    traced = trace_faces(m)
-    face_cycles = {f.cycle for f in traced.faces if f.embedded}
-    all_embedded = all(f.embedded for f in traced.faces)
+    faces = m.faces
+    face_cycles = {f.cycle for f in faces.faces if f.embedded}
+    all_embedded = all(f.embedded for f in faces.faces)
     equal = girth == t.p and all_embedded and set(mins) == face_cycles
     extras = tuple(sorted((c for c in mins if c not in face_cycles), key=Cycle.sort_key))
     return FaceSystoleReport(
         girth=girth, p=t.p, equal=equal, all_faces_embedded=all_embedded,
-        face_count=traced.count, min_cycle_count=len(mins), extra_min_cycles=extras,
+        face_count=faces.count, min_cycle_count=len(mins), extra_min_cycles=extras,
     )
 
 

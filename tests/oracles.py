@@ -61,6 +61,25 @@ def oracle_cycles(g: MetricGraph) -> set[Cycle]:
     return found
 
 
+def oracle_face_orbits(rotations) -> list[tuple[tuple[int, int], ...]]:
+    """The orbits of sigma o alpha of an untwisted rotation system, each read
+    from its least dart, in sorted order."""
+    after = {rot[i - 1]: rot[i] for rot in rotations for i in range(len(rot))}
+    seen: set = set()
+    orbits = []
+    for start in sorted(after):
+        if start in seen:
+            continue
+        walk = []
+        d = start
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = after[(d[0], 1 - d[1])]
+        orbits.append(tuple(walk))
+    return sorted(orbits)
+
+
 def oracle_length(g: MetricGraph, c: Cycle) -> Fraction:
     return sum((g.lengths[eid] for eid in c.edge_ids), Fraction(0))
 

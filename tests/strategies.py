@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from graphspine.graphs import Edge, MetricGraph, normalize_volume
+from graphspine.maps import CombinatorialMap
 
 
 def random_lengths(rng: random.Random, count: int) -> list[Fraction]:
@@ -77,6 +78,21 @@ def random_outer_graph(rng: random.Random, rank_lo: int = 2, rank_hi: int = 5) -
         return normalize_volume(MetricGraph(nv, edges, f"outer-{n}-{nv}v"))
 
 
+def random_rotation_system(rng: random.Random, twisted: bool) -> CombinatorialMap:
+    """A random connected multigraph (loops and parallel edges welcome) with a
+    random cyclic order of the darts at each vertex; when ``twisted``, each
+    edge is twisted with probability 1/2."""
+    g = random_connected_multigraph(rng, max_vertices=5, max_edges=8)
+    rotations: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    for e in g.edges:
+        rotations[e.u].append((e.id, 0))
+        rotations[e.v].append((e.id, 1))
+    for rot in rotations:
+        rng.shuffle(rot)
+    twists = frozenset(e.id for e in g.edges if twisted and rng.random() < 0.5)
+    return CombinatorialMap(g, tuple(map(tuple, rotations)), twists)
+
+
 def random_relabeling(rng: random.Random, g: MetricGraph):
     """A random vertex permutation and edge-id permutation of g."""
     from graphspine.graphs import relabel_graph
@@ -100,3 +116,9 @@ def multigraphs(draw, max_vertices: int = 5, max_edges: int = 8):
 def outer_graphs(draw, rank_lo: int = 2, rank_hi: int = 4):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     return random_outer_graph(random.Random(seed), rank_lo, rank_hi)
+
+
+@st.composite
+def rotation_systems(draw, twisted: bool):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_rotation_system(random.Random(seed), twisted)

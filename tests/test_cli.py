@@ -139,9 +139,31 @@ def test_domain_error_exit_code(capsys, tmp_path):
         code3, _, err3 = run_cli(capsys, "--json", "analyze", str(spec))
         assert code3 == 1
         assert json.loads(err3)["error"]["kind"] == "GraphSpineError"
+    # unwritable trace: a directory, and a path in a missing directory
+    for trace in (tmp_path, tmp_path / "missing" / "trace.json"):
+        code4, out4, err4 = run_cli(capsys, "--json", "retract", "theta", "--trace", str(trace))
+        assert code4 == 1 and out4 == ""
+        error = json.loads(err4)["error"]
+        assert error["kind"] == "GraphSpineError"
+        assert error["message"].startswith(f"cannot write {trace}")
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+    # caps are plain integers >= 0
+    for argv in (["--cycle-cap", "-1", "analyze", "theta"],
+                 ["retract", "theta", "--max-events", "-1"],
+                 ["retract", "theta", "--max-contractions", "-1"],
+                 ["retract", "theta", "--max-events", "+2"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "expected an integer >= 0" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "retract", "theta", "--max-events", "0",
+                           "--max-contractions", "0")
+    assert code == 0 and "0 event(s)" in out
+    code, _, err = run_cli(capsys, "--cycle-cap", "0", "analyze", "theta")
+    assert code == 1 and "BudgetExceeded" in err
+

@@ -1,6 +1,11 @@
+import importlib.util
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphspine.errors import InvalidMap, NotCubic, UnknownDataset
 from graphspine.graphs import Edge, MetricGraph, rank
@@ -21,6 +26,9 @@ from graphspine.maps import (
     systoles_equal_faces,
     trace_faces,
 )
+
+from .oracles import oracle_face_orbits
+from .strategies import rotation_systems
 
 MAP_DATASETS = ("theta", "dumbbell_equal", "tetrahedron", "cube",
                 "petersen_projective", "heawood_torus", "klein_73")
@@ -72,6 +80,19 @@ def test_sidecars_match_recomputation():
             girth, mins = minimum_cycles(g)
             assert props["systole_length"] == girth
             assert props["systole_count"] == len(mins)
+
+
+def test_make_datasets_reproduces_the_bundled_files(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_datasets.py"
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends src/
+    spec = importlib.util.spec_from_file_location("make_datasets", script)
+    make_datasets = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_datasets)
+    make_datasets.main(tmp_path)
+    bundled = {p.name: p.read_bytes() for p in make_datasets.DATA_DIR.iterdir()
+               if p.suffix in (".graph", ".props")}
+    assert len(bundled) == 2 * len(DATASET_NAMES)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == bundled
 
 
 def test_trace_faces_tetrahedron():
@@ -283,3 +304,54 @@ def test_parse_map_rejects_stray_rotation():
     )
     with pytest.raises(InvalidMap):
         parse_map(text)
+
+
+# ---------------------------------------------------------------------------
+# properties of random rotation systems, with and without twists
+
+ANY_MAP = st.one_of(rotation_systems(twisted=False), rotation_systems(twisted=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_MAP)
+def test_faces_run_twice_along_each_edge(m):
+    faces = m.faces
+    assert faces is m.faces
+    assert faces == trace_faces(m)
+    edge_uses = Counter(eid for f in faces.faces for eid, _ in f.darts)
+    assert edge_uses == {e.id: 2 for e in m.graph.edges}
+    g = m.graph
+    chi = faces.euler_characteristic
+    assert chi == g.num_vertices - g.num_edges + faces.count
+    if faces.orientable:
+        assert chi % 2 == 0 and faces.genus == (2 - chi) // 2
+    else:
+        assert faces.crosscaps == 2 - chi
+
+
+@settings(max_examples=150, deadline=None)
+@given(rotation_systems(twisted=False))
+def test_untwisted_faces_are_the_sigma_alpha_orbits(m):
+    walks = [f.darts for f in m.faces.faces]
+    assert walks == oracle_face_orbits(m.rotations)
+    assert sorted(d for walk in walks for d in walk) == list(m.darts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_MAP, st.data())
+def test_flipping_a_vertex_keeps_the_faces(m, data):
+    # reversing one vertex's rotation and toggling the twist on its non-loop
+    # edges describes the same embedding
+    g = m.graph
+    v = data.draw(st.integers(min_value=0, max_value=g.num_vertices - 1))
+    rotations = list(m.rotations)
+    rotations[v] = rotations[v][::-1]
+    flip = {eid for eid, w in g.adjacency[v] if w != v}
+    flipped = CombinatorialMap(g, tuple(rotations), m.twists ^ flip)
+    assert flipped.is_orientable == m.is_orientable
+    assert flipped.faces.count == m.faces.count
+
+    def shape(faces):
+        return sorted((len(f), f.embedded) for f in faces.faces), {f.cycle for f in faces.faces}
+
+    assert shape(flipped.faces) == shape(m.faces)
