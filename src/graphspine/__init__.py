@@ -42,10 +42,12 @@ from .homology import (
 )
 from .fill import (
     Membership,
+    SystoleProfile,
     SystoleSupport,
     classify_membership,
     geometrically_fills,
     support_betti,
+    systole_profile,
     systole_support,
     topologically_fills,
 )
@@ -60,7 +62,6 @@ from .flow import (
 from .deformation import (
     DeformationRecord,
     VcdRecord,
-    deformation_kernel,
     local_deformation_dimension,
     systole_equality_system,
     vcd_witness,

@@ -29,9 +29,8 @@ from .graphs import (
     require_outer_space,
     serialize_graph,
 )
-from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
-from .homology import systole_lattice
-from .fill import classify_membership, geometrically_fills, systole_support, topologically_fills
+from .cycles import DEFAULT_CYCLE_CAP
+from .fill import classify_membership, geometrically_fills, systole_profile, topologically_fills
 from .flow import retract_to_spine
 from .deformation import vcd_witness
 from .maps import (
@@ -93,11 +92,11 @@ def _cycle_json(c) -> list:
 
 def cmd_analyze(args) -> int:
     g = _load_graph(args.file, args.permissive)
-    girth, systoles = minimum_cycles(g, cap=args.cycle_cap)
-    support = systole_support(g)
-    verdict = systole_lattice(g)
-    topo = topologically_fills(g)
-    geo = geometrically_fills(g)
+    profile = systole_profile(g, cap=args.cycle_cap)
+    girth, systoles, support, verdict = (
+        profile.girth, profile.systoles, profile.support, profile.lattice)
+    topo = topologically_fills(g, profile)
+    geo = geometrically_fills(g, profile)
     report: dict[str, Any] = {
         "graph": g.name,
         "V": g.num_vertices,
@@ -121,7 +120,7 @@ def cmd_analyze(args) -> int:
         "fills": {"topological": topo, "geometric": geo},
     }
     if rank(g) >= 2:
-        m = classify_membership(g)
+        m = classify_membership(g, profile)
         report["membership"] = {"W": m.in_W, "V": m.in_V, "Vprime": m.in_Vprime}
     if args.json:
         _emit_json(report)
@@ -211,7 +210,7 @@ def cmd_retract(args) -> int:
 
 def cmd_dimension(args) -> int:
     g = _load_graph(args.file, permissive=False)
-    rec = vcd_witness(g, cycle_cap=args.cycle_cap)
+    rec = vcd_witness(g, systole_profile(g, cap=args.cycle_cap))
     payload = {
         "graph": g.name,
         "E": rec.deformation.E,

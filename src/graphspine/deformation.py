@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvariantViolation, NotStrictlyShorter
-from .graphs import Cycle, MetricGraph, cycle_length, rank, require_outer_space
-from .cycles import minimum_cycles
+from .errors import InvariantViolation
+from .graphs import Cycle, MetricGraph, rank, require_outer_space
+from .fill import SystoleProfile, systole_profile
 
 
 def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -62,26 +62,6 @@ def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[F
     return basis
 
 
-def _ordered_systoles(g: MetricGraph, systoles: Optional[Sequence[Cycle]],
-                      cycle_cap: Optional[int] = None) -> tuple[tuple[Cycle, ...], Fraction]:
-    """The systole family in canonical order, certified to be the complete
-    set of minimum-length cycles."""
-    kwargs = {} if cycle_cap is None else {"cap": cycle_cap}
-    girth, mins = minimum_cycles(g, **kwargs)
-    if systoles is None:
-        return mins, girth
-    given = sorted(set(systoles), key=Cycle.sort_key)
-    lengths = {cycle_length(g, c) for c in given}
-    if lengths != {girth}:
-        raise NotStrictlyShorter(
-            f"given cycles have lengths {sorted(lengths)}, minimum cycle length is {girth}")
-    if set(given) != set(mins):
-        extra = sorted(set(mins) - set(given), key=Cycle.sort_key)
-        raise NotStrictlyShorter(
-            f"{len(extra)} cycles tie the minimal length but are not in the family")
-    return tuple(given), girth
-
-
 def indicator_row(g: MetricGraph, c: Cycle) -> tuple[int, ...]:
     cols = {e.id: i for i, e in enumerate(g.edges)}
     row = [0] * g.num_edges
@@ -90,12 +70,11 @@ def indicator_row(g: MetricGraph, c: Cycle) -> tuple[int, ...]:
     return tuple(row)
 
 
-def systole_equality_system(g: MetricGraph,
-                            systoles: Optional[Sequence[Cycle]] = None) -> tuple[tuple[Fraction, ...], ...]:
+def systole_equality_system(g: MetricGraph, profile: Optional[SystoleProfile] = None
+                            ) -> tuple[tuple[Fraction, ...], ...]:
     """Constraint matrix: F-1 consecutive length-difference rows followed by
     the all-ones volume row; columns follow g.edges order."""
-    family, _ = _ordered_systoles(g, systoles)
-    indicators = [indicator_row(g, c) for c in family]
+    indicators = [indicator_row(g, c) for c in (profile or systole_profile(g)).systoles]
     rows: list[tuple[Fraction, ...]] = []
     for i in range(len(indicators) - 1):
         rows.append(tuple(Fraction(b - a) for a, b in zip(indicators[i], indicators[i + 1])))
@@ -114,21 +93,19 @@ class DeformationRecord:
 
 
 def local_deformation_dimension(g: MetricGraph,
-                                systoles: Optional[Sequence[Cycle]] = None,
-                                cycle_cap: Optional[int] = None) -> DeformationRecord:
+                                profile: Optional[SystoleProfile] = None) -> DeformationRecord:
     """Dimension of the systole-preserving deformation space at g.
 
-    The certification that every non-systole cycle is strictly longer holds
-    by construction when the family is computed here; a provided family is
-    checked against the full minimum-cycle set.
+    Every non-systole cycle is strictly longer by construction: the profile
+    holds the complete set of minimum-length cycles.
     """
     require_outer_space(g)
-    family, _ = _ordered_systoles(g, systoles, cycle_cap)
-    system = systole_equality_system(g, family)
+    profile = profile or systole_profile(g)
+    system = systole_equality_system(g, profile)
     diff_rows = system[:-1]
     rank_diff = rational_rank(diff_rows)
     dim = g.num_edges - 1 - rank_diff
-    lower = g.num_edges - len(family)
+    lower = g.num_edges - len(profile.systoles)
     if dim < lower:
         raise InvariantViolation(f"deformation dimension {dim} is below E - F = {lower}")
     # the base lengths themselves are a strictly positive solution of the
@@ -139,16 +116,9 @@ def local_deformation_dimension(g: MetricGraph,
         sum(r * x for r, x in zip(row, base)) == 0 for row in diff_rows
     ) and all(x > 0 for x in base)
     return DeformationRecord(
-        E=g.num_edges, F=len(family), rank_diff=rank_diff, dim=dim,
+        E=g.num_edges, F=len(profile.systoles), rank_diff=rank_diff, dim=dim,
         lower_bound=lower, has_positive_direction=positive,
     )
-
-
-def deformation_kernel(g: MetricGraph,
-                       systoles: Optional[Sequence[Cycle]] = None) -> list[tuple[Fraction, ...]]:
-    """Basis of the tangent space: difference rows plus the volume row."""
-    system = systole_equality_system(g, systoles)
-    return kernel_basis(system, g.num_edges)
 
 
 @dataclass(frozen=True)
@@ -160,10 +130,9 @@ class VcdRecord:
     deformation: DeformationRecord
 
 
-def vcd_witness(g: MetricGraph, systoles: Optional[Sequence[Cycle]] = None,
-                cycle_cap: Optional[int] = None) -> VcdRecord:
+def vcd_witness(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> VcdRecord:
     """Compare the local deformation dimension with 2n - 3."""
-    record = local_deformation_dimension(g, systoles, cycle_cap)
+    record = local_deformation_dimension(g, profile)
     n = rank(g)
     vcd = 2 * n - 3
     return VcdRecord(n=n, dim=record.dim, vcd=vcd, exceeds=record.dim > vcd,

@@ -107,12 +107,7 @@ class FlowStateError(GraphSpineError):
 
 
 # ---------------------------------------------------------------------------
-# deformation / maps
-
-
-class NotStrictlyShorter(GraphSpineError):
-    """Some cycle outside the given family ties the minimal length, so the
-    family is not the full systole set."""
+# maps / datasets
 
 
 class NotCubic(GraphSpineError):

@@ -1,21 +1,23 @@
-"""Systole support and the fill predicates.
+"""Systole profile, systole support and the fill predicates.
 
-A family of curves topologically fills when every component of the complement
-of their union is contractible (equivalently: no embedded cycle is point-wise
-disjoint from the union), and geometrically fills when the union is the whole
-graph.
+A ``SystoleProfile`` holds the systoles of one graph, enumerated once, for
+every consumer: lattice, fill, membership and deformation.  A family of
+curves topologically fills when every component of the complement of their
+union is contractible (equivalently: no embedded cycle is point-wise disjoint
+from the union), and geometrically fills when the union is the whole graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 from .errors import InvariantViolation, NotOuterSpace
 from .graphs import Cycle, MetricGraph, _DisjointSets, cycle_vertices, rank
-from .cycles import all_systoles
-from .homology import LatticeVerdict, is_well_rounded
+from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
+from .homology import LatticeVerdict, systole_lattice
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,30 @@ def support_of(g: MetricGraph, cycles: Sequence[Cycle]) -> SystoleSupport:
     return SystoleSupport(frozenset(edges), frozenset(verts), total)
 
 
-def systole_support(g: MetricGraph) -> SystoleSupport:
-    return support_of(g, all_systoles(g))
+@dataclass(frozen=True)
+class SystoleProfile:
+    """The systoles of one graph, as built by ``systole_profile``: girth, the
+    canonical systole tuple and their support.  The lattice verdict is
+    computed on first use, then kept.  Pass a profile only with its graph."""
+
+    graph: MetricGraph
+    girth: Fraction
+    systoles: tuple[Cycle, ...]
+    support: SystoleSupport
+
+    @cached_property
+    def lattice(self) -> LatticeVerdict:
+        return systole_lattice(self.graph, self.systoles)
+
+
+def systole_profile(g: MetricGraph, cap: int = DEFAULT_CYCLE_CAP) -> SystoleProfile:
+    """Enumerate the systoles of g once (at most ``cap`` cycles)."""
+    girth, systoles = minimum_cycles(g, cap=cap)
+    return SystoleProfile(g, girth, systoles, support_of(g, systoles))
+
+
+def systole_support(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> SystoleSupport:
+    return (profile or systole_profile(g)).support
 
 
 def support_betti(g: MetricGraph, support: SystoleSupport) -> int:
@@ -63,14 +87,14 @@ def _complement_is_forest(g: MetricGraph, support: SystoleSupport) -> bool:
                if e.u not in inside and e.v not in inside)
 
 
-def topologically_fills(g: MetricGraph) -> bool:
+def topologically_fills(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> bool:
     """Whether every cycle of g meets the systole union in at least a point."""
-    return _complement_is_forest(g, systole_support(g))
+    return _complement_is_forest(g, systole_support(g, profile))
 
 
-def geometrically_fills(g: MetricGraph) -> bool:
+def geometrically_fills(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> bool:
     """Whether the systoles cover every edge."""
-    return systole_support(g).covers(g)
+    return systole_support(g, profile).covers(g)
 
 
 @dataclass(frozen=True)
@@ -82,18 +106,17 @@ class Membership:
     support: SystoleSupport
 
 
-def classify_membership(g: MetricGraph) -> Membership:
+def classify_membership(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> Membership:
     """Well-rounded / topological fill / geometric fill verdicts.
 
     Only defined for rank >= 2 (the moduli space convention starts there).
     """
     if rank(g) < 2:
         raise NotOuterSpace(f"membership classification needs rank >= 2, got {rank(g)}")
-    well, verdict = is_well_rounded(g)
-    support = systole_support(g)
+    profile = profile or systole_profile(g)
+    verdict, support = profile.lattice, profile.support
     in_v = _complement_is_forest(g, support)
-    in_vprime = support.covers(g)
-    m = Membership(well, in_v, in_vprime, verdict, support)
+    m = Membership(verdict.rank == rank(g), in_v, support.covers(g), verdict, support)
     if (m.in_W or m.in_Vprime) and not m.in_V:
         raise InvariantViolation(f"{g.name} lies in W or V' but not in V")
     return m

@@ -36,7 +36,7 @@ from .graphs import (
     require_outer_space,
 )
 from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
-from .fill import SystoleSupport, support_of
+from .fill import SystoleSupport, systole_profile
 
 NEW_SYSTOLES = "new-systoles"
 STAGE_COMPLETE = "stage-complete"
@@ -65,11 +65,10 @@ class FlowState:
 
     @staticmethod
     def initial(g: MetricGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> "FlowState":
-        sigma, systoles = minimum_cycles(g, cap=cycle_cap)
-        support = support_of(g, systoles)
+        p = systole_profile(g, cap=cycle_cap)
         return FlowState(
-            graph=g, systoles=systoles, support=support, sigma=sigma,
-            u=Fraction(1), stage_sigma=sigma, stage_s=support.total_length,
+            graph=g, systoles=p.systoles, support=p.support, sigma=p.girth,
+            u=Fraction(1), stage_sigma=p.girth, stage_s=p.support.total_length,
         )
 
     def check(self) -> None:
@@ -215,11 +214,11 @@ def apply_event(state: FlowState, event: Event,
         new_state = replace(FlowState.initial(g2, cycle_cap), stage_index=state.stage_index + 1)
     else:
         # same stage continues with the enlarged systole set, on more edges
-        sigma2, systoles2 = minimum_cycles(g2, cap=cycle_cap)
-        new_state = replace(state, graph=g2, systoles=systoles2,
-                            support=support_of(g2, systoles2), sigma=sigma2, u=event.u_star)
+        p = systole_profile(g2, cap=cycle_cap)
+        new_state = replace(state, graph=g2, systoles=p.systoles,
+                            support=p.support, sigma=p.girth, u=event.u_star)
         if not (state.support.edge_ids < new_state.support.edge_ids
-                and set(systoles2) == set(state.systoles) | set(event.new_cycles)):
+                and set(p.systoles) == set(state.systoles) | set(event.new_cycles)):
             raise InvariantViolation("the new systoles are not those the event found")
     if new_state.sigma != event.sigma_after:
         raise InvariantViolation(f"systole length {new_state.sigma} after the event, "

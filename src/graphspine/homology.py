@@ -249,14 +249,17 @@ def lattice_verdict(classes: Sequence[Sequence[int]], ambient_rank: int) -> Latt
     return LatticeVerdict(rows, ambient_rank, r, snf.divisors, index)
 
 
-def systole_lattice(g: MetricGraph, basis: Optional[HomologyBasis] = None) -> LatticeVerdict:
-    """Verdict on the lattice spanned by the classes of all systoles."""
-    basis = basis if basis is not None else build_basis(g)
-    classes = [cycle_class(g, basis, c) for c in all_systoles(g)]
+def systole_lattice(g: MetricGraph, systoles: Optional[Sequence[Cycle]] = None) -> LatticeVerdict:
+    """Verdict on the lattice spanned by the classes of all systoles (the
+    given ones, which must be all of them, or else enumerated here)."""
+    basis = build_basis(g)
+    systoles = all_systoles(g) if systoles is None else systoles
+    classes = [cycle_class(g, basis, c) for c in systoles]
     return lattice_verdict(classes, rank(g))
 
 
-def is_well_rounded(g: MetricGraph) -> tuple[bool, LatticeVerdict]:
+def is_well_rounded(g: MetricGraph,
+                    systoles: Optional[Sequence[Cycle]] = None) -> tuple[bool, LatticeVerdict]:
     """True iff the systole classes span a finite-index subgroup of H_1."""
-    verdict = systole_lattice(g)
+    verdict = systole_lattice(g, systoles)
     return verdict.rank == rank(g), verdict

@@ -8,6 +8,7 @@ the Klein chain reports CONDITIONAL-SKIP when its hypothesis (minimum cycles
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -15,11 +16,11 @@ from typing import Callable, Optional
 from .graphs import Edge, MetricGraph, are_isomorphic, normalize_volume
 from .cycles import minimum_cycles
 from .homology import is_well_rounded
-from .fill import classify_membership, geometrically_fills
+from .fill import classify_membership, geometrically_fills, systole_profile
 from .flow import NEW_SYSTOLES, STAGE_COMPLETE, retract_to_spine
 from .deformation import local_deformation_dimension, vcd_witness
 from .maps import euler_relations, flag_transitivity, systoles_equal_faces
-from .datasets import bundled_dataset, bundled_graph
+from .datasets import bundled_dataset
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -37,11 +38,12 @@ def _check(name: str, condition: bool, detail: str) -> CheckResult:
     return CheckResult(name, PASS if condition else FAIL, detail)
 
 
-def check_theta_analysis() -> CheckResult:
-    g = bundled_graph("theta")
-    girth, systoles = minimum_cycles(g)
-    m = classify_membership(g)
-    rec = local_deformation_dimension(g)
+def check_theta_analysis(load: Callable) -> CheckResult:
+    g = load("theta").graph
+    profile = systole_profile(g)
+    m = classify_membership(g, profile)
+    rec = local_deformation_dimension(g, profile)
+    girth, systoles = profile.girth, profile.systoles
     ok = (
         girth == Fraction(2, 3)
         and len(systoles) == 3
@@ -55,8 +57,8 @@ def check_theta_analysis() -> CheckResult:
         f"({m.in_W},{m.in_V},{m.in_Vprime}), lattice index {m.lattice.index}, dim {rec.dim}")
 
 
-def check_dumbbell_membership() -> CheckResult:
-    g = bundled_graph("dumbbell_equal")
+def check_dumbbell_membership(load: Callable) -> CheckResult:
+    g = load("dumbbell_equal").graph
     m = classify_membership(g)
     ok = m.in_W and m.in_V and not m.in_Vprime
     return _check(
@@ -65,8 +67,8 @@ def check_dumbbell_membership() -> CheckResult:
         f"geometrically: ({m.in_W},{m.in_V},{m.in_Vprime})")
 
 
-def check_dumbbell_equal_retraction() -> CheckResult:
-    g = bundled_graph("dumbbell_equal")
+def check_dumbbell_equal_retraction(load: Callable) -> CheckResult:
+    g = load("dumbbell_equal").graph
     sigma0 = minimum_cycles(g)[0]
     traj = retract_to_spine(g)
     rose = MetricGraph(1, tuple(
@@ -85,8 +87,8 @@ def check_dumbbell_equal_retraction() -> CheckResult:
         f"{sigma0} -> {traj.final_sigma}, final graph rose(1/2,1/2)")
 
 
-def check_dumbbell_unequal_retraction() -> CheckResult:
-    g = bundled_graph("dumbbell_unequal")
+def check_dumbbell_unequal_retraction(load: Callable) -> CheckResult:
+    g = load("dumbbell_unequal")
     traj = retract_to_spine(g)
     kinds = [e.kind for e in traj.events]
     rose = MetricGraph(1, tuple(
@@ -104,8 +106,8 @@ def check_dumbbell_unequal_retraction() -> CheckResult:
         f"contraction ends at rose(1/2,1/2)")
 
 
-def check_theta_unbalanced_retraction() -> CheckResult:
-    theta = bundled_graph("theta")
+def check_theta_unbalanced_retraction(load: Callable) -> CheckResult:
+    theta = load("theta").graph
     g = theta.with_lengths({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
     traj = retract_to_spine(g)
     equilateral = theta
@@ -121,16 +123,17 @@ def check_theta_unbalanced_retraction() -> CheckResult:
         f"equilateral theta")
 
 
-def check_k4_analysis() -> CheckResult:
-    g = normalize_volume(bundled_graph("tetrahedron"))
-    girth, systoles = minimum_cycles(g)
-    well, verdict = is_well_rounded(g)
-    rec = vcd_witness(g)
+def check_k4_analysis(load: Callable) -> CheckResult:
+    g = normalize_volume(load("tetrahedron").graph)
+    profile = systole_profile(g)
+    girth, systoles = profile.girth, profile.systoles
+    well, verdict = is_well_rounded(g, systoles)
+    rec = vcd_witness(g, profile)
     ok = (
         girth == Fraction(1, 2)
         and len(systoles) == 4
         and well and verdict.index == 1
-        and geometrically_fills(g)
+        and geometrically_fills(g, profile)
         and rec.deformation.E == 6 and rec.deformation.F == 4
         and rec.dim == 2 and rec.vcd == 3 and not rec.exceeds
     )
@@ -140,13 +143,13 @@ def check_k4_analysis() -> CheckResult:
         f"geometric fill, dim {rec.dim} <= vcd {rec.vcd}")
 
 
-def check_euler_relations() -> CheckResult:
+def check_euler_relations(load: Callable) -> CheckResult:
     names = ["theta", "tetrahedron", "cube", "petersen_projective",
              "heawood_torus", "klein_73"]
     details = []
     ok = True
     for name in names:
-        m = bundled_dataset(name)
+        m = load(name)
         rel = euler_relations(m)
         ok = ok and rel.all_pass
         details.append(f"{name}{{{rel.p},3}}")
@@ -155,10 +158,10 @@ def check_euler_relations() -> CheckResult:
         "3V = 2E = pF, n = 1 + V/2, pF = 6(n-1) on " + ", ".join(details))
 
 
-def check_flag_transitivity() -> CheckResult:
-    tet = flag_transitivity(bundled_dataset("tetrahedron"))
-    cube = flag_transitivity(bundled_dataset("cube"))
-    dumb = flag_transitivity(bundled_dataset("dumbbell_equal"))
+def check_flag_transitivity(load: Callable) -> CheckResult:
+    tet = flag_transitivity(load("tetrahedron"))
+    cube = flag_transitivity(load("cube"))
+    dumb = flag_transitivity(load("dumbbell_equal"))
     ok = (
         tet.transitive and tet.aut_order == 24
         and cube.transitive and cube.aut_order == 48
@@ -170,7 +173,7 @@ def check_flag_transitivity() -> CheckResult:
         f"dumbbell {dumb.aut_order}<12")
 
 
-def check_face_systole_agreement() -> CheckResult:
+def check_face_systole_agreement(load: Callable) -> CheckResult:
     expected = {
         "theta": True,
         "tetrahedron": True,
@@ -181,7 +184,7 @@ def check_face_systole_agreement() -> CheckResult:
     ok = True
     bits = []
     for name, want in expected.items():
-        rep = systoles_equal_faces(bundled_dataset(name))
+        rep = systoles_equal_faces(load(name))
         ok = ok and rep.equal == want
         if not want:
             ok = ok and rep.min_cycle_count > rep.face_count
@@ -189,8 +192,8 @@ def check_face_systole_agreement() -> CheckResult:
     return _check("face-systole-agreement", ok, "; ".join(bits))
 
 
-def check_klein_counting() -> CheckResult:
-    m = bundled_dataset("klein_73")
+def check_klein_counting(load: Callable) -> CheckResult:
+    m = load("klein_73")
     rel = euler_relations(m)
     rep = systoles_equal_faces(m)
     ok = (rel.V, rel.E, rel.F, rel.n, rel.p) == (56, 84, 24, 29, 7) and rel.all_pass
@@ -200,8 +203,8 @@ def check_klein_counting() -> CheckResult:
         f"{rep.min_cycle_count} minimum cycles")
 
 
-def check_klein_chain() -> CheckResult:
-    m = bundled_dataset("klein_73")
+def check_klein_chain(load: Callable) -> CheckResult:
+    m = load("klein_73")
     rep = systoles_equal_faces(m)
     if not rep.equal:
         extras = ", ".join(c.format() for c in rep.extra_min_cycles[:5])
@@ -210,9 +213,10 @@ def check_klein_chain() -> CheckResult:
             f"{len(rep.extra_min_cycles)} non-face minimum cycles ({extras} ...); "
             f"the downstream chain does not apply to this quotient")
     g = normalize_volume(m.skeleton_unit())
-    well, verdict = is_well_rounded(g)
-    fills = geometrically_fills(g)
-    rec = vcd_witness(g)
+    profile = systole_profile(g)
+    well, verdict = is_well_rounded(g, profile.systoles)
+    fills = geometrically_fills(g, profile)
+    rec = vcd_witness(g, profile)
     ok = (
         not well
         and verdict.rank <= 23
@@ -229,7 +233,7 @@ def check_klein_chain() -> CheckResult:
         f"{rec.vcd} = vcd")
 
 
-CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[Callable], CheckResult]], ...] = (
     ("theta-analysis", check_theta_analysis),
     ("dumbbell-equal-membership", check_dumbbell_membership),
     ("dumbbell-equal-retraction", check_dumbbell_equal_retraction),
@@ -245,7 +249,9 @@ CHECKS: tuple[tuple[str, Callable[[], CheckResult]], ...] = (
 
 
 def run_checks(name_filter: Optional[str] = None) -> list[CheckResult]:
+    # the checks of one run share each parsed dataset, and so its traced faces
+    load = functools.cache(bundled_dataset)
     return [
-        fn() for name, fn in CHECKS
+        fn(load) for name, fn in CHECKS
         if name_filter is None or name_filter in name
     ]

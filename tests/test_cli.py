@@ -3,6 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+import graphspine.cycles
+import graphspine.datasets
+import graphspine.homology
+import graphspine.maps
 from graphspine.cli import main
 from graphspine.graphs import parse_graph, serialize_graph
 
@@ -122,6 +126,40 @@ def test_verify_paper_filter(capsys):
     assert "klein-counting" in out
 
 
+def counted(monkeypatch, module, name) -> list:
+    """Rebind ``module.name`` to a wrapper that logs each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_commands_enumerate_the_systoles_once(capsys, monkeypatch):
+    enumerations = counted(monkeypatch, graphspine.cycles, "cycles_up_to_length")
+    snfs = counted(monkeypatch, graphspine.homology, "smith_normal_form")
+    parses = counted(monkeypatch, graphspine.datasets, "parse_map")
+    tracings = counted(monkeypatch, graphspine.maps, "trace_faces")
+
+    def run(*argv) -> tuple[int, ...]:
+        for calls in (enumerations, snfs, parses, tracings):
+            calls.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        return len(enumerations), len(snfs), len(parses), len(tracings)
+
+    assert run("analyze", "klein_73") == (1, 1, 0, 0)
+    assert run("dimension", "klein_73") == (1, 0, 0, 0)
+    # one enumeration per graph a check reads, plus the retraction flow's own
+    # (one per stage start, Newton step and same-stage event); each bundled
+    # map is parsed and traced once per run, and again by the next run
+    assert run("verify-paper") == (25, 4, 7, 6)
+    assert run("verify-paper") == (25, 4, 7, 6)
+
+
 def test_domain_error_exit_code(capsys, tmp_path):
     path = tmp_path / "circle.graph"
     path.write_text("graph circle\nvertices 1\nedge 0 0 0 1/1\n")
@@ -146,6 +184,13 @@ def test_domain_error_exit_code(capsys, tmp_path):
         error = json.loads(err4)["error"]
         assert error["kind"] == "GraphSpineError"
         assert error["message"].startswith(f"cannot write {trace}")
+    # the cap reaches the enumeration of every command that takes it: the
+    # Klein quartic skeleton has exactly 24 minimum cycles
+    for command in ("analyze", "dimension", "map-check"):
+        code5, _, err5 = run_cli(capsys, "--cycle-cap", "23", command, "klein_73")
+        assert code5 == 1 and "BudgetExceeded" in err5
+        code6, _, _ = run_cli(capsys, "--cycle-cap", "24", command, "klein_73")
+        assert code6 == 0
 
 
 def test_usage_error_exit_code(capsys):

@@ -3,16 +3,21 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from graphspine.errors import NotOuterSpace
+from graphspine.deformation import local_deformation_dimension, systole_equality_system, vcd_witness
+from graphspine.errors import GraphSpineError, NotOuterSpace
 from graphspine.fill import (
     classify_membership,
     geometrically_fills,
     support_betti,
+    systole_profile,
     systole_support,
     topologically_fills,
 )
-from .oracles import oracle_support, oracle_topologically_fills
+from graphspine.graphs import Cycle
+from graphspine.homology import is_well_rounded, systole_lattice
+from .oracles import oracle_support, oracle_systoles, oracle_topologically_fills
 from .strategies import multigraphs, outer_graphs
 
 
@@ -103,3 +108,29 @@ def test_predicates_relabeling_invariant(g):
     mangled, _, _ = random_relabeling(random.Random(23), g)
     assert topologically_fills(g) == topologically_fills(mangled)
     assert geometrically_fills(g) == geometrically_fills(mangled)
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or the type of the domain error it raises."""
+    try:
+        return fn(*args)
+    except GraphSpineError as exc:
+        return type(exc)
+
+
+@given(st.one_of(multigraphs(max_edges=8), outer_graphs()))
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_oracle_and_every_consumer(g):
+    p = systole_profile(g)
+    girth, systoles = oracle_systoles(g)
+    assert (p.girth, set(p.systoles)) == (girth, systoles)
+    assert p.systoles == tuple(sorted(systoles, key=Cycle.sort_key))
+    edge_ids, vertex_ids, total = oracle_support(g)
+    assert (p.support.edge_ids, p.support.vertex_ids, p.support.total_length) == (
+        edge_ids, vertex_ids, total)
+    assert p.lattice == systole_lattice(g) == systole_lattice(g, p.systoles)
+    assert is_well_rounded(g, p.systoles) == is_well_rounded(g)
+    for consumer in (systole_support, topologically_fills, geometrically_fills,
+                     classify_membership, systole_equality_system,
+                     local_deformation_dimension, vcd_witness):
+        assert _outcome(consumer, g, p) == _outcome(consumer, g), consumer.__name__
