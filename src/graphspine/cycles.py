@@ -2,9 +2,11 @@
 
 Weighted girth, the complete set of minimum cycles, bounded enumeration of
 all embedded cycles, and the least cycle length strictly above a threshold.
-All weights are exact rationals; ties are ties, never epsilons.  Each public
-search scales the weights once by their common denominator D and then adds
-and compares plain integers; lengths come back as ``Fraction(n, D)``.
+All weights are exact rationals (``Fraction`` or ``int``); ties are ties,
+never epsilons.  Each public search scales the weights once by their common
+denominator D and then adds and compares plain integers; lengths come back as
+``Fraction(n, D)``.  ``minimum_cycles`` scales once and hands the integer
+weights on to the girth search and the enumeration.
 
 A shortest non-trivial closed curve in a graph never repeats a vertex (it
 would split there into two shorter ones), so only embedded cycles are ever
@@ -95,10 +97,10 @@ def bridge_ids(g: MetricGraph) -> frozenset[int]:
 
 
 def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=None,
-              target: Optional[int] = None, limit: Optional[int] = None) -> dict[int, int]:
+              limit: Optional[int] = None) -> dict[int, int]:
     """Exact single-source distances under integer weights, for settled
-    vertices only.  ``allowed(edge_id)`` filters edges; the search stops once
-    ``target`` is settled, or at the first distance beyond ``limit``."""
+    vertices only.  ``allowed(edge_id)`` filters edges; the search stops at
+    the first distance beyond ``limit``."""
     done: dict[int, int] = {}
     dist = {source: 0}
     heap = [(0, source)]
@@ -110,8 +112,6 @@ def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=N
         if limit is not None and d > limit:
             break
         done[x] = d
-        if x == target:
-            break
         for eid, y in adj[x]:
             if y in done or (allowed is not None and not allowed(eid)):
                 continue
@@ -126,29 +126,50 @@ def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=N
 def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None) -> Optional[Fraction]:
     """Minimum weight over embedded cycles, or None for a forest.
 
-    Per-edge approach: a loop is a cycle by itself; for every other non-bridge
-    edge, its best cycle is the edge plus the shortest path between its
-    endpoints avoiding it, searched only as far as it could beat the best
-    cycle so far.
+    Weights are exact non-negative rationals (ints included).  A loop is a
+    cycle by itself.  Every other candidate comes from one shortest-path tree
+    per root r, grown on the vertices >= r only: a non-tree edge xy closes the
+    walk r..x, xy, y..r of weight d(x) + w(xy) + d(y), whose edges taken mod 2
+    hold a cycle no heavier than the walk; and a shortest cycle whose least
+    vertex is r has a non-tree edge whose walk weighs exactly its length, with
+    both ends within half that length of r.  So each tree stops once 2·d
+    reaches the best candidate so far.
     """
     w, den = _scaled(g, weights)
-    best: Optional[int] = None
-    bridges = bridge_ids(g)
-    for e in g.edges:
-        if e.is_loop:
-            cand = w[e.id]
-        elif e.id in bridges:
-            continue
-        else:
-            limit = None if best is None else best - w[e.id]
-            dist = _dijkstra(g, e.u, w, allowed=lambda eid: eid != e.id,
-                             target=e.v, limit=limit)
-            if e.v not in dist:
+    no_cycle = sum(w.values()) + 1  # heavier than any cycle
+    best = min((w[e.id] for e in g.edges if e.is_loop), default=no_cycle)
+    adj = g.adjacency
+    for root in range(g.num_vertices):
+        dist: dict[int, int] = {root: 0}
+        via = {root: -1}  # the tree edge into each reached vertex
+        done: dict[int, int] = {}
+        heap = [(0, root)]
+        while heap:
+            d, x = heapq.heappop(heap)
+            if x in done:
                 continue
-            cand = w[e.id] + dist[e.v]
-        if best is None or cand < best:
-            best = cand
-    return None if best is None else Fraction(best, den)
+            if 2 * d >= best:
+                break
+            done[x] = d
+            tree_edge = via[x]
+            for eid, y in adj[x]:
+                if y < root:
+                    continue
+                dy = done.get(y)
+                if dy is not None:
+                    # x == y only on a loop, a candidate of its own
+                    if eid != tree_edge and x != y:
+                        cand = d + w[eid] + dy
+                        if cand < best:
+                            best = cand
+                    continue
+                nd = d + w[eid]
+                old = dist.get(y)
+                if old is None or nd < old:
+                    dist[y] = nd
+                    via[y] = eid
+                    heapq.heappush(heap, (nd, y))
+    return None if best == no_cycle else Fraction(best, den)
 
 
 def cycles_up_to_length(g: MetricGraph, bound: Fraction,
@@ -236,16 +257,17 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
 def minimum_cycles(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None,
                    cap: int = DEFAULT_CYCLE_CAP) -> tuple[Fraction, tuple[Cycle, ...]]:
     """Girth together with the complete, canonically sorted set of cycles
-    attaining it."""
-    girth = girth_value(g, weights)
+    attaining it.  The weights are scaled once; the girth search and the
+    enumeration both run on the integer weights."""
+    w, den = _scaled(g, weights)
+    girth = girth_value(g, w)
     if girth is None:
         raise NoCycle("graph has no embedded cycle")
-    cycles = cycles_up_to_length(g, girth, weights=weights, cap=cap)
-    w, den = _scaled(g, weights)
-    scaled_girth = girth * den
-    if not cycles or any(sum(w[eid] for eid, _ in c.steps) != scaled_girth for c in cycles):
-        raise InvariantViolation(f"the minimum cycles found do not all have length {girth}")
-    return girth, cycles
+    cycles = cycles_up_to_length(g, girth, weights=w, cap=cap)
+    if not cycles or any(sum(w[eid] for eid, _ in c.steps) != girth for c in cycles):
+        raise InvariantViolation(
+            f"the minimum cycles found do not all have length {girth / den}")
+    return girth / den, cycles
 
 
 def shortest_cycle(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None,

@@ -8,12 +8,17 @@ rational equation and the whole trajectory is computed exactly.  An event is
 either a set of new cycles reaching the minimal length (they join the systole
 set and the flow direction is recomputed) or the collapse of the non-systole
 forest, which is then contracted and a new stage begins.
+
+The event search is a parametric shortest-cycle Newton iteration (Karp &
+Orlin 1981; Radzik 1992): each step is one exact girth search on integer
+weights that order the cycles by length and then by slope, and the minimum
+cycles are enumerated once, at the event.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -35,8 +40,8 @@ from .graphs import (
     rank,
     require_outer_space,
 )
-from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
-from .fill import SystoleSupport, systole_profile
+from .cycles import DEFAULT_CYCLE_CAP, _scaled, girth_value, minimum_cycles
+from .fill import SystoleSupport, support_of, systole_profile
 
 NEW_SYSTOLES = "new-systoles"
 STAGE_COMPLETE = "stage-complete"
@@ -117,7 +122,10 @@ class Event:
     ``new_cycles`` are written on the pre-event graph.  When a tie lands
     exactly at the end of the stage, the event is classified as new-systoles
     but carries the contraction of the collapsed forest as well; the next
-    stage then starts from the contracted snapshot.
+    stage then starts from the contracted snapshot.  ``_mins`` are all the
+    minimum cycles at the event, on the pre-event graph: for a same-stage
+    event exactly the systoles of ``graph_after``, so applying it enumerates
+    nothing again.
     """
 
     kind: str
@@ -128,6 +136,7 @@ class Event:
     contracted_edge_ids: tuple[int, ...]
     graph_after: MetricGraph
     sigma_after: Fraction
+    _mins: tuple[Cycle, ...] = field(repr=False, compare=False)
 
 
 def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> tuple[MetricGraph, EdgeCorrespondence]:
@@ -149,6 +158,16 @@ def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, t
     return scaled, tuple(sorted(t_ids))
 
 
+def _newton_step(length: Fraction, slope: Fraction, sigma: Fraction, mu: Fraction) -> Fraction:
+    """Root of the active line L + L'·(r - mu) = sigma·r below ``mu``."""
+    if not sigma > slope:
+        raise InvariantViolation(f"a cycle of slope {slope} cannot cross the systole length")
+    root = (length - slope * mu) / (sigma - slope)
+    if not 1 < root < mu:
+        raise InvariantViolation(f"Newton step to {root} leaves (1, {mu})")
+    return root
+
+
 def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
     """The least u > state.u at which a non-systole cycle reaches the minimal
     length, or the completion of the stage when no crossing exists.
@@ -156,7 +175,12 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
     The crossing is found by a parametric Newton iteration on the concave
     piecewise-linear gap between the cheapest competing cycle and the systole
     length: evaluate at the stage end, step to the root of the active linear
-    piece, repeat; convergence is exact and finite.
+    piece, repeat; convergence is exact and finite.  The active piece is the
+    least cycle L at mu with the largest slope L', found by one girth search
+    on the packed integer weights P·K + Q: P is w_e(mu) and Q is -w'_e, both
+    scaled to integers, and K = 2·sum|Q| + 1 keeps the order lexicographic.
+    Every packed weight is positive (an edge of length 0 at the stage end has
+    Q > 0).  The minimum cycles are enumerated only at the event.
     """
     g = state.graph
     if state.done:
@@ -167,43 +191,54 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
     systole_set = set(state.systoles)
     mu_end = Fraction(1) / s
     mu = mu_end
+    # w_e(mu) is l_e·mu on the support and l_e·(1 - mu·s)/(1 - s) off it.  With
+    # l_e = ls[e]/d, s = sn/sd and mu = a/b, w_e(mu)·d·b·(sd - sn) and
+    # -w'_e·d·(sd - sn) are integers.
+    ls, d = _scaled(g, None)
+    sn, sd = s.numerator, s.denominator
+    q = {eid: -x * (sd - sn) if eid in support_ids else x * sn for eid, x in ls.items()}
+    half = sum(abs(x) for x in q.values())
+    k = 2 * half + 1
+    slope_den = d * (sd - sn)
 
     for _ in range(_NEWTON_GUARD):
+        a, b = mu.numerator, mu.denominator
+        grow, shrink = a * (sd - sn), b * sd - a * sn
+        packed = girth_value(g, {
+            eid: x * (grow if eid in support_ids else shrink) * k + q[eid]
+            for eid, x in ls.items()}).numerator
+        # packed = P(C)·k + Q(C) with |Q(C)| <= half, so P(C) rounds out
+        scaled_length = (packed + half) // k
+        length = Fraction(scaled_length, slope_den * b)
+        slope = Fraction(scaled_length * k - packed, slope_den)
+        target = sigma * mu
+        if length > target:
+            raise InvariantViolation(f"girth {length} exceeds the systole length {target}")
+        if length < target:
+            mu = _newton_step(length, slope, sigma, mu)
+            continue
         weights = _leg_lengths(g, support_ids, s, mu)
         girth, mins = minimum_cycles(g, weights=weights, cap=cycle_cap)
-        target = sigma * mu
-        if girth > target:
-            raise InvariantViolation(f"girth {girth} exceeds the systole length {target}")
-        if girth == target:
-            extras = tuple(c for c in mins if c not in systole_set)
-            if mu == mu_end:
-                # the collapsed forest is contracted in this event, also when
-                # new cycles tie exactly at the stage end
-                graph_after, contracted = _contracted_snapshot(state, mu)
-            elif extras:
-                graph_after, contracted = g.with_lengths(weights), ()
-            else:
-                raise InvariantViolation(
-                    "gap vanished strictly inside the leg with no new cycle")
-            u_star = state.u * mu
-            return Event(
-                kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
-                u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
-                contracted_edge_ids=contracted, graph_after=graph_after, sigma_after=target,
-            )
-        # Newton step: move to the largest crossing not above any active line
-        roots = []
-        for c in mins:
-            a = sum((g.lengths[eid] for eid in c.edge_ids if eid in support_ids), Fraction(0))
-            b = sum((g.lengths[eid] for eid in c.edge_ids if eid not in support_ids), Fraction(0))
-            denom = (sigma - a) * (1 - s) + b * s
-            if not (b > 0 and denom > 0):
-                raise InvariantViolation(f"cycle {c.format()} cannot cross the systole length")
-            roots.append(b / denom)
-        nxt = min(roots)
-        if not 1 < nxt < mu:
-            raise InvariantViolation(f"Newton step to {nxt} leaves (1, {mu})")
-        mu = nxt
+        if girth != length:
+            raise InvariantViolation(f"the minimum cycles have length {girth}, "
+                                     f"the girth search found {length}")
+        extras = tuple(c for c in mins if c not in systole_set)
+        if mu == mu_end:
+            # the collapsed forest is contracted in this event, also when
+            # new cycles tie exactly at the stage end
+            graph_after, contracted = _contracted_snapshot(state, mu)
+        elif extras:
+            graph_after, contracted = g.with_lengths(weights), ()
+        else:
+            raise InvariantViolation(
+                "gap vanished strictly inside the leg with no new cycle")
+        u_star = state.u * mu
+        return Event(
+            kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
+            u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
+            contracted_edge_ids=contracted, graph_after=graph_after, sigma_after=target,
+            _mins=mins,
+        )
     raise DegenerateStage("event search failed to converge")
 
 
@@ -213,12 +248,14 @@ def apply_event(state: FlowState, event: Event,
     if event.contracted_edge_ids:
         new_state = replace(FlowState.initial(g2, cycle_cap), stage_index=state.stage_index + 1)
     else:
-        # same stage continues with the enlarged systole set, on more edges
-        p = systole_profile(g2, cap=cycle_cap)
-        new_state = replace(state, graph=g2, systoles=p.systoles,
-                            support=p.support, sigma=p.girth, u=event.u_star)
-        if not (state.support.edge_ids < new_state.support.edge_ids
-                and set(p.systoles) == set(state.systoles) | set(event.new_cycles)):
+        # same stage continues: the event's minimum cycles are the systoles
+        # of graph_after, on more edges
+        systoles = event._mins
+        new_state = replace(state, graph=g2, systoles=systoles,
+                            support=support_of(g2, systoles),
+                            sigma=cycle_length(g2, systoles[0]), u=event.u_star)
+        if not (set(state.systoles) <= set(systoles)
+                and state.support.edge_ids < new_state.support.edge_ids):
             raise InvariantViolation("the new systoles are not those the event found")
     if new_state.sigma != event.sigma_after:
         raise InvariantViolation(f"systole length {new_state.sigma} after the event, "

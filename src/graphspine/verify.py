@@ -27,6 +27,16 @@ FAIL = "FAIL"
 CONDITIONAL_SKIP = "CONDITIONAL-SKIP"
 
 
+class Bundled:
+    """What the checks of one run read: each bundled dataset parsed once (so
+    each map's faces are traced once), and each map's faces compared with its
+    minimum cycles once."""
+
+    def __init__(self) -> None:
+        self.load = functools.cache(bundled_dataset)
+        self.faces = functools.cache(lambda name: systoles_equal_faces(self.load(name)))
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -38,8 +48,8 @@ def _check(name: str, condition: bool, detail: str) -> CheckResult:
     return CheckResult(name, PASS if condition else FAIL, detail)
 
 
-def check_theta_analysis(load: Callable) -> CheckResult:
-    g = load("theta").graph
+def check_theta_analysis(data: Bundled) -> CheckResult:
+    g = data.load("theta").graph
     profile = systole_profile(g)
     m = classify_membership(g, profile)
     rec = local_deformation_dimension(g, profile)
@@ -57,8 +67,8 @@ def check_theta_analysis(load: Callable) -> CheckResult:
         f"({m.in_W},{m.in_V},{m.in_Vprime}), lattice index {m.lattice.index}, dim {rec.dim}")
 
 
-def check_dumbbell_membership(load: Callable) -> CheckResult:
-    g = load("dumbbell_equal").graph
+def check_dumbbell_membership(data: Bundled) -> CheckResult:
+    g = data.load("dumbbell_equal").graph
     m = classify_membership(g)
     ok = m.in_W and m.in_V and not m.in_Vprime
     return _check(
@@ -67,8 +77,8 @@ def check_dumbbell_membership(load: Callable) -> CheckResult:
         f"geometrically: ({m.in_W},{m.in_V},{m.in_Vprime})")
 
 
-def check_dumbbell_equal_retraction(load: Callable) -> CheckResult:
-    g = load("dumbbell_equal").graph
+def check_dumbbell_equal_retraction(data: Bundled) -> CheckResult:
+    g = data.load("dumbbell_equal").graph
     sigma0 = minimum_cycles(g)[0]
     traj = retract_to_spine(g)
     rose = MetricGraph(1, tuple(
@@ -87,8 +97,8 @@ def check_dumbbell_equal_retraction(load: Callable) -> CheckResult:
         f"{sigma0} -> {traj.final_sigma}, final graph rose(1/2,1/2)")
 
 
-def check_dumbbell_unequal_retraction(load: Callable) -> CheckResult:
-    g = load("dumbbell_unequal")
+def check_dumbbell_unequal_retraction(data: Bundled) -> CheckResult:
+    g = data.load("dumbbell_unequal")
     traj = retract_to_spine(g)
     kinds = [e.kind for e in traj.events]
     rose = MetricGraph(1, tuple(
@@ -106,8 +116,8 @@ def check_dumbbell_unequal_retraction(load: Callable) -> CheckResult:
         f"contraction ends at rose(1/2,1/2)")
 
 
-def check_theta_unbalanced_retraction(load: Callable) -> CheckResult:
-    theta = load("theta").graph
+def check_theta_unbalanced_retraction(data: Bundled) -> CheckResult:
+    theta = data.load("theta").graph
     g = theta.with_lengths({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
     traj = retract_to_spine(g)
     equilateral = theta
@@ -123,8 +133,8 @@ def check_theta_unbalanced_retraction(load: Callable) -> CheckResult:
         f"equilateral theta")
 
 
-def check_k4_analysis(load: Callable) -> CheckResult:
-    g = normalize_volume(load("tetrahedron").graph)
+def check_k4_analysis(data: Bundled) -> CheckResult:
+    g = normalize_volume(data.load("tetrahedron").graph)
     profile = systole_profile(g)
     girth, systoles = profile.girth, profile.systoles
     well, verdict = is_well_rounded(g, systoles)
@@ -143,13 +153,13 @@ def check_k4_analysis(load: Callable) -> CheckResult:
         f"geometric fill, dim {rec.dim} <= vcd {rec.vcd}")
 
 
-def check_euler_relations(load: Callable) -> CheckResult:
+def check_euler_relations(data: Bundled) -> CheckResult:
     names = ["theta", "tetrahedron", "cube", "petersen_projective",
              "heawood_torus", "klein_73"]
     details = []
     ok = True
     for name in names:
-        m = load(name)
+        m = data.load(name)
         rel = euler_relations(m)
         ok = ok and rel.all_pass
         details.append(f"{name}{{{rel.p},3}}")
@@ -158,10 +168,10 @@ def check_euler_relations(load: Callable) -> CheckResult:
         "3V = 2E = pF, n = 1 + V/2, pF = 6(n-1) on " + ", ".join(details))
 
 
-def check_flag_transitivity(load: Callable) -> CheckResult:
-    tet = flag_transitivity(load("tetrahedron"))
-    cube = flag_transitivity(load("cube"))
-    dumb = flag_transitivity(load("dumbbell_equal"))
+def check_flag_transitivity(data: Bundled) -> CheckResult:
+    tet = flag_transitivity(data.load("tetrahedron"))
+    cube = flag_transitivity(data.load("cube"))
+    dumb = flag_transitivity(data.load("dumbbell_equal"))
     ok = (
         tet.transitive and tet.aut_order == 24
         and cube.transitive and cube.aut_order == 48
@@ -173,7 +183,7 @@ def check_flag_transitivity(load: Callable) -> CheckResult:
         f"dumbbell {dumb.aut_order}<12")
 
 
-def check_face_systole_agreement(load: Callable) -> CheckResult:
+def check_face_systole_agreement(data: Bundled) -> CheckResult:
     expected = {
         "theta": True,
         "tetrahedron": True,
@@ -184,7 +194,7 @@ def check_face_systole_agreement(load: Callable) -> CheckResult:
     ok = True
     bits = []
     for name, want in expected.items():
-        rep = systoles_equal_faces(load(name))
+        rep = data.faces(name)
         ok = ok and rep.equal == want
         if not want:
             ok = ok and rep.min_cycle_count > rep.face_count
@@ -192,10 +202,9 @@ def check_face_systole_agreement(load: Callable) -> CheckResult:
     return _check("face-systole-agreement", ok, "; ".join(bits))
 
 
-def check_klein_counting(load: Callable) -> CheckResult:
-    m = load("klein_73")
-    rel = euler_relations(m)
-    rep = systoles_equal_faces(m)
+def check_klein_counting(data: Bundled) -> CheckResult:
+    rel = euler_relations(data.load("klein_73"))
+    rep = data.faces("klein_73")
     ok = (rel.V, rel.E, rel.F, rel.n, rel.p) == (56, 84, 24, 29, 7) and rel.all_pass
     return _check(
         "klein-counting", ok,
@@ -203,16 +212,15 @@ def check_klein_counting(load: Callable) -> CheckResult:
         f"{rep.min_cycle_count} minimum cycles")
 
 
-def check_klein_chain(load: Callable) -> CheckResult:
-    m = load("klein_73")
-    rep = systoles_equal_faces(m)
+def check_klein_chain(data: Bundled) -> CheckResult:
+    rep = data.faces("klein_73")
     if not rep.equal:
         extras = ", ".join(c.format() for c in rep.extra_min_cycles[:5])
         return CheckResult(
             "klein-conditional-chain", CONDITIONAL_SKIP,
             f"{len(rep.extra_min_cycles)} non-face minimum cycles ({extras} ...); "
             f"the downstream chain does not apply to this quotient")
-    g = normalize_volume(m.skeleton_unit())
+    g = normalize_volume(data.load("klein_73").skeleton_unit())
     profile = systole_profile(g)
     well, verdict = is_well_rounded(g, profile.systoles)
     fills = geometrically_fills(g, profile)
@@ -233,7 +241,7 @@ def check_klein_chain(load: Callable) -> CheckResult:
         f"{rec.vcd} = vcd")
 
 
-CHECKS: tuple[tuple[str, Callable[[Callable], CheckResult]], ...] = (
+CHECKS: tuple[tuple[str, Callable[[Bundled], CheckResult]], ...] = (
     ("theta-analysis", check_theta_analysis),
     ("dumbbell-equal-membership", check_dumbbell_membership),
     ("dumbbell-equal-retraction", check_dumbbell_equal_retraction),
@@ -249,9 +257,8 @@ CHECKS: tuple[tuple[str, Callable[[Callable], CheckResult]], ...] = (
 
 
 def run_checks(name_filter: Optional[str] = None) -> list[CheckResult]:
-    # the checks of one run share each parsed dataset, and so its traced faces
-    load = functools.cache(bundled_dataset)
+    data = Bundled()
     return [
-        fn(load) for name, fn in CHECKS
+        fn(data) for name, fn in CHECKS
         if name_filter is None or name_filter in name
     ]

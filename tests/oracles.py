@@ -2,17 +2,30 @@
 
 Everything here works by exhaustive enumeration over edge subsets or through
 sympy's integer Smith normal form, deliberately sharing no code path with the
-implementations under test.
+implementations under test; the one exception is ``oracle_next_event``, the
+flow's earlier event search, which enumerates every minimum cycle on each
+Newton step.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from graphspine.cycles import minimum_cycles
+from graphspine.errors import DegenerateStage, InvariantViolation
+from graphspine.flow import (
+    NEW_SYSTOLES,
+    STAGE_COMPLETE,
+    Event,
+    FlowState,
+    _contracted_snapshot,
+    _leg_lengths,
+)
 from graphspine.graphs import Cycle, MetricGraph, cycle_vertices
 
 
@@ -129,3 +142,44 @@ def oracle_lattice(classes, ambient_rank: int):
         for d in divisors:
             index *= d
     return r, divisors, index
+
+
+def oracle_next_event(state: FlowState) -> Event:
+    """The flow's next event by enumerating every minimum cycle on each Newton
+    step and stepping to the least root among them."""
+    g = state.graph
+    support_ids = state.support.edge_ids
+    s = state.support.total_length
+    sigma = state.sigma
+    mu_end = 1 / s
+    mu = mu_end
+    while True:
+        weights = _leg_lengths(g, support_ids, s, mu)
+        girth, mins = minimum_cycles(g, weights=weights)
+        target = sigma * mu
+        if girth > target:
+            raise InvariantViolation(f"girth {girth} exceeds the systole length {target}")
+        if girth == target:
+            extras = tuple(c for c in mins if c not in set(state.systoles))
+            if mu == mu_end:
+                graph_after, contracted = _contracted_snapshot(state, mu)
+            elif extras:
+                graph_after, contracted = g.with_lengths(weights), ()
+            else:
+                raise InvariantViolation("gap vanished with no new cycle")
+            u_star = state.u * mu
+            return Event(
+                kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
+                u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
+                contracted_edge_ids=contracted, graph_after=graph_after,
+                sigma_after=target, _mins=mins,
+            )
+        roots = []
+        for c in mins:
+            a = sum((g.lengths[eid] for eid in c.edge_ids if eid in support_ids), Fraction(0))
+            b = sum((g.lengths[eid] for eid in c.edge_ids if eid not in support_ids), Fraction(0))
+            roots.append(b / ((sigma - a) * (1 - s) + b * s))
+        nxt = min(roots)
+        if not 1 < nxt < mu:
+            raise DegenerateStage(f"Newton step to {nxt} leaves (1, {mu})")
+        mu = nxt

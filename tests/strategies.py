@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from graphspine.errors import Disconnected
 from graphspine.graphs import Edge, MetricGraph, normalize_volume
 from graphspine.maps import CombinatorialMap
 
@@ -31,6 +32,27 @@ def random_connected_multigraph(rng: random.Random, max_vertices: int = 6,
     lengths = random_lengths(rng, len(pairs))
     edges = tuple(Edge(i, u, v, lengths[i]) for i, (u, v) in enumerate(pairs))
     return MetricGraph(nv, edges, f"random-{nv}v-{ne}e")
+
+
+def random_cubic_graph(seed, num_vertices: int) -> MetricGraph:
+    """A simple connected cubic graph by the pairing model: three half-edges
+    per vertex matched uniformly at random, redrawn until simple and
+    connected; then lengths p/q with 1 <= p, q <= 12, volume normalised.
+    The same seed gives the same graph as the benchmark's cubic generator."""
+    rng = random.Random(seed)
+    while True:
+        points = [v for v in range(num_vertices) for _ in range(3)]
+        rng.shuffle(points)
+        pairs = [(min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])]
+        if any(u == v for u, v in pairs) or len(set(pairs)) < len(pairs):
+            continue
+        edges = tuple(Edge(i, u, v, Fraction(1)) for i, (u, v) in enumerate(pairs))
+        try:
+            g = MetricGraph(num_vertices, edges, f"cubic-{num_vertices}")
+        except Disconnected:
+            continue
+        lengths = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in pairs]
+        return normalize_volume(g.with_lengths(dict(enumerate(lengths))))
 
 
 def random_outer_graph(rng: random.Random, rank_lo: int = 2, rank_hi: int = 5) -> MetricGraph:

@@ -153,11 +153,12 @@ def test_commands_enumerate_the_systoles_once(capsys, monkeypatch):
 
     assert run("analyze", "klein_73") == (1, 1, 0, 0)
     assert run("dimension", "klein_73") == (1, 0, 0, 0)
-    # one enumeration per graph a check reads, plus the retraction flow's own
-    # (one per stage start, Newton step and same-stage event); each bundled
-    # map is parsed and traced once per run, and again by the next run
-    assert run("verify-paper") == (25, 4, 7, 6)
-    assert run("verify-paper") == (25, 4, 7, 6)
+    # one enumeration per graph a check reads (the Klein skeleton's faces are
+    # compared with its minimum cycles once for both Klein checks), plus the
+    # retraction flow's own: one per stage start and one per event; each
+    # bundled map is parsed and traced once per run, and again by the next run
+    assert run("verify-paper") == (20, 4, 7, 6)
+    assert run("verify-paper") == (20, 4, 7, 6)
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

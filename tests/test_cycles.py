@@ -12,6 +12,7 @@ from graphspine.cycles import (
     all_systoles,
     bridge_ids,
     cycles_up_to_length,
+    girth_value,
     minimum_cycles,
     shortest_cycle,
     shortest_cycle_above,
@@ -152,6 +153,19 @@ def test_minimum_cycles_match_oracle(g):
     oracle_girth, oracle_mins = oracle_systoles(g)
     assert girth == oracle_girth
     assert set(mins) == oracle_mins
+
+
+@given(multigraphs(max_edges=9), st.lists(st.integers(min_value=0, max_value=4),
+                                            min_size=9, max_size=9))
+@settings(max_examples=150, deadline=None)
+def test_tree_girth_matches_oracle(g, numerators):
+    # loops and parallel edges come with the multigraphs; weights may be 0
+    # (the flow's stage end), equal (unit skeletons) or plain ints
+    for weights in (None, {e.id: numerators[i] for i, e in enumerate(g.edges)},
+                    {e.id: Fraction(numerators[i], 1 + i % 3) for i, e in enumerate(g.edges)}):
+        w = g.lengths if weights is None else weights
+        want = min(sum(w[eid] for eid in c.edge_ids) for c in oracle_cycles(g))
+        assert girth_value(g, weights) == want
 
 
 @given(multigraphs(max_edges=9))

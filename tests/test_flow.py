@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspine.errors import (
     CapExceeded,
@@ -15,6 +17,7 @@ from graphspine.graphs import (
     Edge,
     MetricGraph,
     are_isomorphic,
+    normalize_volume,
     rank,
 )
 from graphspine.cycles import minimum_cycles
@@ -22,14 +25,17 @@ from graphspine.fill import geometrically_fills, support_betti, systole_support
 from graphspine.flow import (
     NEW_SYSTOLES,
     STAGE_COMPLETE,
+    Event,
     FlowState,
+    apply_event,
     flow_lengths_at,
     next_event,
     retract_to_spine,
 )
 
-from .conftest import make_theta, run_python
-from .strategies import outer_graphs, random_outer_graph, random_relabeling
+from .conftest import make_dumbbell, make_theta, run_python
+from .oracles import oracle_next_event
+from .strategies import outer_graphs, random_cubic_graph, random_outer_graph, random_relabeling
 
 
 def test_flow_lengths_identity_at_one(dumbbell_eq):
@@ -125,15 +131,18 @@ def test_retract_requires_outer_space():
         retract_to_spine(lollipop)  # rank 2 but a degree-2 vertex... rank is 2
 
 
-def test_tie_at_stage_end_merges_contraction():
+def _two_thetas() -> MetricGraph:
     # two equal theta pairs joined by two connectors: the four long cycles
     # reach the minimum exactly when the connectors collapse
     h = Fraction(1, 6)
-    g = MetricGraph(4, (
+    return MetricGraph(4, (
         Edge(0, 0, 1, h), Edge(1, 0, 1, h),
         Edge(2, 2, 3, h), Edge(3, 2, 3, h),
         Edge(4, 1, 2, h), Edge(5, 3, 0, h)), "tie")
-    traj = retract_to_spine(g)
+
+
+def test_tie_at_stage_end_merges_contraction():
+    traj = retract_to_spine(_two_thetas())
     assert len(traj.events) == 1
     event = traj.events[0]
     assert event.kind == NEW_SYSTOLES
@@ -243,3 +252,76 @@ def test_flow_invariants_survive_optimize():
     ]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "InvariantViolation"]
+
+
+def _fields(event: Event) -> list:
+    return [getattr(event, f.name) for f in dataclasses.fields(Event)]
+
+
+def _assert_events_match_oracle(g: MetricGraph) -> None:
+    """Along the whole flow line of g, every event equals the enumerate-all
+    oracle's, field by field (the private minimum cycles included)."""
+    state = FlowState.initial(g)
+    while not state.done:
+        event = next_event(state)
+        assert _fields(event) == _fields(oracle_next_event(state))
+        state = apply_event(state, event)
+
+
+@given(outer_graphs(rank_lo=2, rank_hi=4), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_next_event_matches_enumerating_oracle(g, equal_lengths):
+    # equal lengths put ties at the stage end
+    if equal_lengths:
+        g = normalize_volume(g.with_lengths({e.id: Fraction(1) for e in g.edges}))
+    _assert_events_match_oracle(g)
+
+
+@pytest.mark.parametrize("g", [make_dumbbell(), _two_thetas(),
+                               make_dumbbell(Fraction(1, 4), Fraction(5, 12), Fraction(1, 3))],
+                         ids=["dumbbell_equal", "two_thetas", "dumbbell_unequal"])
+def test_next_event_matches_oracle_on_stage_end_ties(g):
+    _assert_events_match_oracle(g)
+
+
+def test_stage_end_tie_sets_stay_small():
+    # at the stage end every non-systole edge has length 0, and on this graph
+    # the cycles through the collapsed forest that tie there number in the
+    # hundreds of thousands; the event search must never list them
+    g = random_cubic_graph("flow:0:48", 48)
+    capped = retract_to_spine(g, cycle_cap=1000)
+    full = retract_to_spine(g)
+    assert [_fields(e) for e in capped.events] == [_fields(e) for e in full.events]
+    assert capped.events and geometrically_fills(capped.final_graph)
+    sigma, stage_edges, stage_events, contractions = minimum_cycles(g)[0], g.num_edges, 0, 0
+    for event in capped.events:
+        after = event.graph_after
+        assert after.volume == 1 and rank(after) == rank(g)
+        assert event.sigma_after >= sigma
+        sigma = event.sigma_after
+        if event.kind == NEW_SYSTOLES:
+            stage_events += 1
+            assert stage_events <= stage_edges
+        if event.contracted_edge_ids:
+            contractions += 1
+            stage_edges, stage_events = after.num_edges, 0
+    assert contractions <= g.num_vertices - 1
+
+
+def test_newton_step_guards_survive_optimize():
+    # _newton_step(L, L', sigma, mu) steps to (L - L'mu)/(sigma - L'); under -O
+    # bare asserts would let a slope at sigma or a root outside (1, mu) through
+    proc = run_python("-O", "-c", "\n".join([
+        "from fractions import Fraction as F",
+        "from graphspine.errors import InvariantViolation",
+        "from graphspine.flow import _newton_step",
+        "print(__debug__)",
+        "for length, slope in [(2, 0), (1, 1), (1, 0), (3, 0)]:",
+        "    try:",
+        "        print(_newton_step(F(length), F(slope), F(1), F(3)))",
+        "    except InvariantViolation:",
+        "        print('InvariantViolation')",
+    ]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "2", "InvariantViolation",
+                                   "InvariantViolation", "InvariantViolation"]
