@@ -9,7 +9,6 @@ from .errors import GraphSpineError
 from .graphs import (
     Cycle,
     Edge,
-    EdgeCorrespondence,
     Isomorphism,
     MetricGraph,
     are_isomorphic,
@@ -19,7 +18,6 @@ from .graphs import (
     normalize_volume,
     parse_graph,
     rank,
-    relabel_graph,
     require_outer_space,
     serialize_graph,
 )
@@ -27,15 +25,12 @@ from .cycles import (
     all_systoles,
     cycles_up_to_length,
     minimum_cycles,
-    shortest_cycle,
-    shortest_cycle_above,
 )
 from .homology import (
     HomologyBasis,
     LatticeVerdict,
     build_basis,
     cycle_class,
-    fundamental_cycle,
     is_well_rounded,
     smith_normal_form,
     systole_lattice,
@@ -46,7 +41,6 @@ from .fill import (
     SystoleSupport,
     classify_membership,
     geometrically_fills,
-    support_betti,
     systole_profile,
     systole_support,
     topologically_fills,
@@ -55,7 +49,6 @@ from .flow import (
     Event,
     FlowState,
     Trajectory,
-    flow_lengths_at,
     next_event,
     retract_to_spine,
 )

@@ -1,11 +1,10 @@
 """Embedded-cycle search engine.
 
-Weighted girth, the complete set of minimum cycles, bounded enumeration of
-all embedded cycles, and the least cycle length strictly above a threshold.
-All weights are exact rationals (``Fraction`` or ``int``); ties are ties,
-never epsilons.  Each public search scales the weights once by their common
-denominator D and then adds and compares plain integers; lengths come back as
-``Fraction(n, D)``.  ``minimum_cycles`` scales once and hands the integer
+Weighted girth, the complete set of minimum cycles and bounded enumeration
+of all embedded cycles.  All weights are exact rationals (``Fraction`` or
+``int``); ties are ties, never epsilons.  Each public search scales the
+weights once by their common denominator D and then adds and compares plain
+integers; lengths come back as ``Fraction(n, D)``.  ``minimum_cycles`` scales once and hands the integer
 weights on to the girth search and the enumeration.
 
 A shortest non-trivial closed curve in a graph never repeats a vertex (it
@@ -96,8 +95,8 @@ def bridge_ids(g: MetricGraph) -> frozenset[int]:
     return frozenset(bridges)
 
 
-def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=None,
-              limit: Optional[int] = None) -> dict[int, int]:
+def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed,
+              limit: int) -> dict[int, int]:
     """Exact single-source distances under integer weights, for settled
     vertices only.  ``allowed(edge_id)`` filters edges; the search stops at
     the first distance beyond ``limit``."""
@@ -109,11 +108,11 @@ def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed=N
         d, x = heapq.heappop(heap)
         if x in done:
             continue
-        if limit is not None and d > limit:
+        if d > limit:
             break
         done[x] = d
         for eid, y in adj[x]:
-            if y in done or (allowed is not None and not allowed(eid)):
+            if y in done or not allowed(eid):
                 continue
             nd = d + weights[eid]
             old = dist.get(y)
@@ -270,86 +269,6 @@ def minimum_cycles(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = N
     return girth / den, cycles
 
 
-def shortest_cycle(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None,
-                   cap: int = DEFAULT_CYCLE_CAP) -> tuple[Fraction, Cycle]:
-    """Minimum cycle weight and the witness with the lexicographically
-    smallest normalized edge-id sequence."""
-    girth, cycles = minimum_cycles(g, weights, cap=cap)
-    return girth, cycles[0]
-
-
 def all_systoles(g: MetricGraph, cap: int = DEFAULT_CYCLE_CAP) -> tuple[Cycle, ...]:
     """Every embedded cycle of minimal length, canonical and sorted."""
     return minimum_cycles(g, cap=cap)[1]
-
-
-def shortest_cycle_above(g: MetricGraph, weights: Optional[Mapping[int, Fraction]],
-                         threshold: Fraction,
-                         cap: int = DEFAULT_CYCLE_CAP) -> Optional[tuple[Fraction, Cycle]]:
-    """Least cycle weight strictly greater than ``threshold`` with a witness,
-    or None when every cycle is at most the threshold (or no cycle exists).
-
-    Per edge, simple paths between the endpoints are expanded best-first (an
-    exact k-shortest-paths enumeration), skipping totals <= threshold and
-    pruning at the best candidate found so far.
-    """
-    w, den = _scaled(g, weights)
-    threshold = _scaled_floor(threshold, den)
-    best: Optional[tuple[int, Cycle]] = None
-    bridges = bridge_ids(g)
-    adj = g.adjacency
-    expansions = 0
-
-    def better(length: int, cyc: Cycle) -> bool:
-        return best is None or (length, cyc.sort_key()) < (best[0], best[1].sort_key())
-
-    for e in g.edges:
-        if e.is_loop:
-            if w[e.id] > threshold:
-                cyc = Cycle.make(g, ((e.id, 0),))
-                if better(w[e.id], cyc):
-                    best = (w[e.id], cyc)
-            continue
-        if e.id in bridges:
-            continue
-        h = _dijkstra(g, e.u, w, allowed=lambda eid: eid != e.id)
-        if e.v not in h:
-            continue
-        counter = itertools.count()
-        start = (h[e.v], next(counter), 0, e.v, (), frozenset((e.v,)))
-        heap = [start]
-        while heap:
-            f, _, glen, x, steps, visited = heapq.heappop(heap)
-            total_lb = f + w[e.id]
-            if best is not None and total_lb >= best[0]:
-                break  # nothing cheaper can complete from here on
-            if x == e.u and steps:
-                total = glen + w[e.id]
-                if total > threshold:
-                    cyc = Cycle.make(g, ((e.id, 0),) + steps)
-                    if better(total, cyc):
-                        best = (total, cyc)
-                    break  # first completion above threshold is minimal for e
-                continue
-            for eid, y in adj[x]:
-                if eid == e.id or y in visited and y != e.u:
-                    continue
-                edge = g.edge_by_id[eid]
-                if edge.is_loop:
-                    continue
-                if y == e.u and x == e.u:
-                    continue
-                ng = glen + w[eid]
-                hy = h.get(y)
-                if hy is None:
-                    continue
-                if best is not None and ng + hy + w[e.id] >= best[0]:
-                    continue
-                expansions += 1
-                if expansions > cap:
-                    raise BudgetExceeded(f"more than {cap} path expansions", expansions)
-                direction = 0 if x == edge.u else 1
-                heapq.heappush(heap, (ng + hy, next(counter), ng, y,
-                                      steps + ((eid, direction),),
-                                      visited | {y}))
-    return None if best is None else (Fraction(best[0], den), best[1])

@@ -3,63 +3,33 @@
 With systoles g_1..g_F, keeping them of equal length imposes F-1 linear
 conditions on the edge lengths; intersecting with the unit-volume hyperplane,
 the local dimension of the equal-systole locus at the base point is
-E - 1 - rank(difference rows), which is at least E - F.
+E - 1 - rank(difference rows), which is at least E - F.  That rank is the
+rank of the rows' Smith normal form, the one exact row reduction of the
+package, whose U·A·W = D check certifies it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InvariantViolation
 from .graphs import Cycle, MetricGraph, rank, require_outer_space
 from .fill import SystoleProfile, systole_profile
-
-
-def _rref(rows: Sequence[Sequence[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q by exact Gauss-Jordan elimination,
-    with the pivot column of each nonzero row."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+from .homology import smith_normal_form
 
 
 def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over Q by exact Gaussian elimination."""
-    if not rows:
-        return 0
-    return len(_rref(rows, len(rows[0]))[1])
-
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel, via reduced row echelon form."""
-    m, pivots = _rref(rows, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(tuple(vec))
-    return basis
+    """Rank over Q: the rank of the Smith normal form of the rows, each row
+    first scaled by the lcm of its denominators (a nonzero scale keeps the
+    rank)."""
+    integral = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        integral.append([x.numerator * (den // x.denominator) for x in row])
+    return smith_normal_form(integral).rank
 
 
 def indicator_row(g: MetricGraph, c: Cycle) -> tuple[int, ...]:

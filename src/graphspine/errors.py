@@ -87,9 +87,6 @@ class ForeignCycle(GraphSpineError):
 # ---------------------------------------------------------------------------
 # flow
 
-class ParameterOutOfRange(GraphSpineError):
-    pass
-
 
 class DegenerateStage(GraphSpineError):
     """Internal inconsistency: the non-systole edge set contains a cycle at

@@ -68,17 +68,6 @@ def systole_support(g: MetricGraph, profile: Optional[SystoleProfile] = None) ->
     return (profile or systole_profile(g)).support
 
 
-def support_betti(g: MetricGraph, support: SystoleSupport) -> int:
-    """First Betti number of the (possibly disconnected) support subgraph."""
-    sets = _DisjointSets(g.num_vertices)
-    components = len(support.vertex_ids)
-    for eid in support.edge_ids:
-        e = g.edge_by_id[eid]
-        if sets.union(e.u, e.v):
-            components -= 1
-    return len(support.edge_ids) - len(support.vertex_ids) + components
-
-
 def _complement_is_forest(g: MetricGraph, support: SystoleSupport) -> bool:
     inside = support.vertex_ids
     sets = _DisjointSets(g.num_vertices)

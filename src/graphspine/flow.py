@@ -29,11 +29,9 @@ from .errors import (
     FlowStateError,
     InvariantViolation,
     NotUnitVolume,
-    ParameterOutOfRange,
 )
 from .graphs import (
     Cycle,
-    EdgeCorrespondence,
     MetricGraph,
     contract_forest,
     cycle_length,
@@ -96,25 +94,6 @@ def _leg_lengths(g: MetricGraph, support_ids: frozenset[int], s: Fraction,
     }
 
 
-def flow_lengths_at(state: FlowState, u: Fraction) -> dict[int, Fraction]:
-    """Edge lengths at flow parameter ``u`` (total exactly 1).
-
-    ``u`` is stage-cumulative: valid between state.u and state.u / s where s
-    is the current support length.
-    """
-    u = Fraction(u)
-    s = state.support.total_length
-    if s >= 1:
-        raise FlowStateError("systoles already cover the graph")
-    lo, hi = state.u, state.u / s
-    if not (lo <= u <= hi):
-        raise ParameterOutOfRange(f"u = {u} outside [{lo}, {hi}]")
-    lengths = _leg_lengths(state.graph, state.support.edge_ids, s, u / state.u)
-    if sum(lengths.values()) != 1:
-        raise InvariantViolation(f"flow lengths at u = {u} do not sum to 1")
-    return lengths
-
-
 @dataclass(frozen=True)
 class Event:
     """One exact event of the flow.
@@ -139,7 +118,7 @@ class Event:
     _mins: tuple[Cycle, ...] = field(repr=False, compare=False)
 
 
-def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> tuple[MetricGraph, EdgeCorrespondence]:
+def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> MetricGraph:
     try:
         return contract_forest(g, edge_ids)
     except ContractionOfCycle as exc:
@@ -151,7 +130,7 @@ def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, t
     lengths at the event parameter."""
     g = state.graph
     t_ids = frozenset(e.id for e in g.edges if e.id not in state.support.edge_ids)
-    contracted, _ = _forest_or_die(g, t_ids)
+    contracted = _forest_or_die(g, t_ids)
     scaled = contracted.with_lengths({eid: g.lengths[eid] * mu for eid in contracted.lengths})
     if scaled.volume != 1:
         raise InvariantViolation(f"contracted graph has volume {scaled.volume}")

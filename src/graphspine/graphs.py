@@ -206,8 +206,9 @@ class Cycle:
         return " ".join(f"{eid}{'+' if d == 0 else '-'}" for eid, d in self.steps)
 
     @staticmethod
-    def make(g: MetricGraph, steps: Sequence[tuple[int, int]], canonical: bool = True) -> "Cycle":
-        """Validate embeddedness against ``g`` and build a cycle."""
+    def make(g: MetricGraph, steps: Sequence[tuple[int, int]]) -> "Cycle":
+        """Validate embeddedness against ``g`` and build the cycle in canonical
+        form."""
         steps = tuple(steps)
         if not steps:
             raise InvalidGraph("a cycle needs at least one step")
@@ -232,8 +233,7 @@ class Cycle:
             raise InvalidGraph("cycle does not close up")
         if len(set(tails)) != len(tails):
             raise InvalidGraph("cycle visits a vertex twice")
-        c = Cycle(steps)
-        return c.canonical() if canonical else c
+        return Cycle(steps).canonical()
 
 
 def cycle_length(g: MetricGraph, c: Cycle, weights: Optional[Mapping[int, Fraction]] = None) -> Fraction:
@@ -248,10 +248,6 @@ def cycle_vertices(g: MetricGraph, c: Cycle) -> frozenset[int]:
         verts.add(e.u)
         verts.add(e.v)
     return frozenset(verts)
-
-
-def relabel_cycle(c: Cycle, edge_map: Mapping[int, int]) -> Cycle:
-    return Cycle(tuple((edge_map[eid], d) for eid, d in c.steps)).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +277,7 @@ class _DisjointSets:
         return True
 
 
-@dataclass(frozen=True)
-class EdgeCorrespondence:
-    """Tracks identities through a contraction.
-
-    ``vertex_map[old_vertex] -> new_vertex``; surviving edges keep their ids,
-    listed in ``edge_map``; contracted ids in ``contracted``.
-    """
-
-    vertex_map: tuple[int, ...]
-    edge_map: Mapping[int, int]
-    contracted: frozenset[int]
-
-
-def contract_forest(g: MetricGraph, edge_ids: Iterable[int]) -> tuple[MetricGraph, EdgeCorrespondence]:
+def contract_forest(g: MetricGraph, edge_ids: Iterable[int]) -> MetricGraph:
     """Contract a set of non-loop edges containing no cycle.
 
     Surviving edges keep their lengths and ids; the rank is preserved.
@@ -323,13 +306,7 @@ def contract_forest(g: MetricGraph, edge_ids: Iterable[int]) -> tuple[MetricGrap
         for e in g.edges
         if e.id not in ids
     )
-    new_graph = MetricGraph(len(roots), new_edges, g.name)
-    corr = EdgeCorrespondence(
-        vertex_map=vertex_map,
-        edge_map={e.id: e.id for e in new_edges},
-        contracted=ids,
-    )
-    return new_graph, corr
+    return MetricGraph(len(roots), new_edges, g.name)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +319,6 @@ class Isomorphism:
 
     vertex_map: tuple[int, ...]
     edge_map: tuple[tuple[int, int], ...]  # (edge id in g1, edge id in g2)
-
-    @cached_property
-    def edge_dict(self) -> Mapping[int, int]:
-        return dict(self.edge_map)
 
 
 def _vertex_signature(g: MetricGraph, v: int):
@@ -427,15 +400,6 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
             return None
         edge_pairs.extend((a.id, b.id) for a, b in zip(edges1, edges2))
     return Isomorphism(vertex_map=vertex_map, edge_map=tuple(sorted(edge_pairs)))
-
-
-def relabel_graph(g: MetricGraph, vertex_map: Sequence[int], edge_map: Mapping[int, int],
-                  name: Optional[str] = None) -> MetricGraph:
-    """Apply a relabeling (used by the equivariance test suites)."""
-    new_edges = tuple(
-        Edge(edge_map[e.id], vertex_map[e.u], vertex_map[e.v], e.length) for e in g.edges
-    )
-    return MetricGraph(g.num_vertices, new_edges, name if name is not None else g.name)
 
 
 # ---------------------------------------------------------------------------

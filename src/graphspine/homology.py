@@ -8,9 +8,10 @@ analyzed through an exact Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
-from .errors import ForeignCycle, InvalidGraph, InvariantViolation
+from .errors import ForeignCycle, InvariantViolation
 from .graphs import Cycle, MetricGraph, rank
 from .cycles import all_systoles
 
@@ -43,44 +44,6 @@ def build_basis(g: MetricGraph) -> HomologyBasis:
         frontier = next_frontier
     chords = tuple(sorted(e.id for e in g.edges if e.id not in tree))
     return HomologyBasis(frozenset(tree), chords)
-
-
-def _tree_path_steps(g: MetricGraph, basis: HomologyBasis, start: int, goal: int) -> list[tuple[int, int]]:
-    """Steps of the unique tree path start -> goal (empty if equal)."""
-    if start == goal:
-        return []
-    prev: dict[int, tuple[int, int]] = {start: (-1, -1)}
-    frontier = [start]
-    while frontier and goal not in prev:
-        nxt = []
-        for v in frontier:
-            for eid, other in g.adjacency[v]:
-                if eid in basis.tree_edge_ids and other not in prev:
-                    prev[other] = (v, eid)
-                    nxt.append(other)
-        frontier = nxt
-    steps: list[tuple[int, int]] = []
-    v = goal
-    while v != start:
-        u, eid = prev[v]
-        e = g.edge_by_id[eid]
-        steps.append((eid, 0 if e.u == u else 1))
-        v = u
-    steps.reverse()
-    return steps
-
-
-def fundamental_cycle(g: MetricGraph, basis: HomologyBasis, chord_id: int) -> Cycle:
-    """Chord traversed forward, closed up through the tree.
-
-    Kept in this orientation (not reduced to canonical form) so that its
-    class is exactly the corresponding unit vector.
-    """
-    if chord_id not in basis.chords:
-        raise InvalidGraph(f"edge {chord_id} is not a chord of the basis")
-    e = g.edge_by_id[chord_id]
-    steps = [(chord_id, 0)] + _tree_path_steps(g, basis, e.v, e.u)
-    return Cycle.make(g, steps, canonical=False)
 
 
 def cycle_class(g: MetricGraph, basis: HomologyBasis, c: Cycle) -> tuple[int, ...]:
@@ -127,13 +90,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = No
     U and W are built by the same operations as D, so they are unimodular by
     construction.  Every call re-checks U*A*W == D and the divisor chain and
     raises InvariantViolation if either fails; a row whose length is not
-    ``ncols`` raises ValueError.
+    ``ncols``, or an entry that is not an integer, raises ValueError.
     """
     m = len(matrix)
     n = ncols if ncols is not None else (len(matrix[0]) if m else 0)
-    D = [[int(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in D):
+    if any(len(row) != n for row in matrix):
         raise ValueError(f"every row of the matrix must have {n} entries")
+    if not all(isinstance(x, Integral) for row in matrix for x in row):
+        raise ValueError("every entry of the matrix must be an integer")
+    D = [[int(x) for x in row] for row in matrix]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -238,15 +203,14 @@ class LatticeVerdict:
 
 
 def lattice_verdict(classes: Sequence[Sequence[int]], ambient_rank: int) -> LatticeVerdict:
-    rows = tuple(tuple(int(x) for x in row) for row in classes)
-    snf = smith_normal_form(rows, ncols=ambient_rank)
+    snf = smith_normal_form(classes, ncols=ambient_rank)
     r = snf.rank
     index: Optional[int] = None
     if r == ambient_rank:
         index = 1
         for d in snf.divisors:
             index *= d
-    return LatticeVerdict(rows, ambient_rank, r, snf.divisors, index)
+    return LatticeVerdict(tuple(map(tuple, classes)), ambient_rank, r, snf.divisors, index)
 
 
 def systole_lattice(g: MetricGraph, systoles: Optional[Sequence[Cycle]] = None) -> LatticeVerdict:

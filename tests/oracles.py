@@ -74,6 +74,24 @@ def oracle_cycles(g: MetricGraph) -> set[Cycle]:
     return found
 
 
+def oracle_fundamental_cycle(g: MetricGraph, tree_edge_ids, chord_id: int) -> Cycle:
+    """The one embedded cycle inside tree + chord, oriented along the chord."""
+    allowed = set(tree_edge_ids) | {chord_id}
+    (c,) = [c for c in oracle_cycles(g) if c.edge_ids <= allowed]
+    return c if (chord_id, 0) in c.steps else c.reverse()
+
+
+def oracle_support_betti(g: MetricGraph, edge_ids) -> int:
+    """First Betti number of the subgraph on ``edge_ids``: its number of edges
+    minus the rank of its vertex-edge boundary matrix, through sympy."""
+    boundary = sympy.zeros(g.num_vertices, len(edge_ids))
+    for j, eid in enumerate(sorted(edge_ids)):
+        e = g.edge_by_id[eid]
+        boundary[e.u, j] -= 1
+        boundary[e.v, j] += 1
+    return len(edge_ids) - boundary.rank()
+
+
 def oracle_face_orbits(rotations) -> list[tuple[tuple[int, int], ...]]:
     """The orbits of sigma o alpha of an untwisted rotation system, each read
     from its least dart, in sorted order."""

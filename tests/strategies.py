@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Mapping, Optional, Sequence
 
 from hypothesis import strategies as st
 
 from graphspine.errors import Disconnected
-from graphspine.graphs import Edge, MetricGraph, normalize_volume
+from graphspine.graphs import Cycle, Edge, MetricGraph, normalize_volume
 from graphspine.maps import CombinatorialMap
 
 
@@ -115,10 +116,21 @@ def random_rotation_system(rng: random.Random, twisted: bool) -> CombinatorialMa
     return CombinatorialMap(g, tuple(map(tuple, rotations)), twists)
 
 
+def relabel_graph(g: MetricGraph, vertex_map: Sequence[int], edge_map: Mapping[int, int],
+                  name: Optional[str] = None) -> MetricGraph:
+    """Apply a relabeling (used by the equivariance test suites)."""
+    new_edges = tuple(
+        Edge(edge_map[e.id], vertex_map[e.u], vertex_map[e.v], e.length) for e in g.edges
+    )
+    return MetricGraph(g.num_vertices, new_edges, name if name is not None else g.name)
+
+
+def relabel_cycle(c: Cycle, edge_map: Mapping[int, int]) -> Cycle:
+    return Cycle(tuple((edge_map[eid], d) for eid, d in c.steps)).canonical()
+
+
 def random_relabeling(rng: random.Random, g: MetricGraph):
     """A random vertex permutation and edge-id permutation of g."""
-    from graphspine.graphs import relabel_graph
-
     vperm = list(range(g.num_vertices))
     rng.shuffle(vperm)
     ids = [e.id for e in g.edges]

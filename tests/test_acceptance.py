@@ -9,12 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from graphspine.graphs import (
-    are_isomorphic,
-    normalize_volume,
-    rank,
-    relabel_cycle,
-)
+from graphspine.graphs import are_isomorphic, normalize_volume, rank
 from graphspine.cycles import all_systoles, minimum_cycles
 from graphspine.homology import build_basis, cycle_class, is_well_rounded, lattice_verdict
 from graphspine.fill import classify_membership, geometrically_fills, topologically_fills
@@ -29,6 +24,7 @@ from .strategies import (
     random_connected_multigraph,
     random_outer_graph,
     random_relabeling,
+    relabel_cycle,
 )
 from .test_flow import _check_trajectory_invariants
 

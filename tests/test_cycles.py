@@ -7,38 +7,36 @@ from hypothesis import strategies as st
 
 from graphspine.errors import BudgetExceeded, NoCycle
 from graphspine.flow import _leg_lengths
-from graphspine.graphs import Edge, MetricGraph, cycle_length, normalize_volume, relabel_cycle
+from graphspine.graphs import Edge, MetricGraph, cycle_length, normalize_volume
 from graphspine.cycles import (
     all_systoles,
     bridge_ids,
     cycles_up_to_length,
     girth_value,
     minimum_cycles,
-    shortest_cycle,
-    shortest_cycle_above,
 )
 from graphspine.datasets import bundled_dataset, bundled_graph
 
 from .conftest import run_python
 from .oracles import oracle_cycles, oracle_length, oracle_support, oracle_systoles
-from .strategies import multigraphs, random_relabeling
+from .strategies import multigraphs, random_relabeling, relabel_cycle
 
 
 def test_girth_theta(theta):
-    length, witness = shortest_cycle(theta)
+    length, (witness, *_) = minimum_cycles(theta)
     assert length == Fraction(2, 3)
     assert witness.edge_ids == {0, 1}
 
 
 def test_girth_dumbbell_tie_break(dumbbell_eq):
-    length, witness = shortest_cycle(dumbbell_eq)
+    length, (witness, *_) = minimum_cycles(dumbbell_eq)
     assert length == Fraction(1, 3)
     assert witness.edge_ids == {0}  # smaller loop id wins the tie
 
 
 def test_girth_unit_klein():
     g = bundled_graph("klein_73")
-    length, _ = shortest_cycle(g)  # bundled skeleton has unit lengths
+    length, _ = minimum_cycles(g)  # bundled skeleton has unit lengths
     assert length == 7
 
 
@@ -55,7 +53,7 @@ def test_girth_beats_the_first_candidate_by_one_unit():
 def test_no_cycle_on_tree():
     tree = MetricGraph(2, (Edge(0, 0, 1, Fraction(1)),), "edgelet")
     with pytest.raises(NoCycle):
-        shortest_cycle(tree)
+        minimum_cycles(tree)
 
 
 def test_all_systoles_theta(theta):
@@ -131,21 +129,6 @@ def test_bridges_excluded(dumbbell_eq):
     assert all(2 not in c.edge_ids for c in cycles_up_to_length(dumbbell_eq, Fraction(1)))
 
 
-def test_shortest_cycle_above_examples(theta, dumbbell_eq, k4):
-    assert shortest_cycle_above(theta, None, Fraction(2, 3)) is None
-    above = shortest_cycle_above(k4, None, Fraction(1, 2))
-    assert above is not None
-    length, witness = above
-    assert length == Fraction(2, 3) and len(witness) == 4
-    assert shortest_cycle_above(dumbbell_eq, None, Fraction(1, 3)) is None
-
-
-def test_shortest_cycle_above_threshold_zero(dumbbell_uneq):
-    length, witness = shortest_cycle_above(dumbbell_uneq, None, Fraction(0))
-    assert length == Fraction(1, 4)
-    assert witness.edge_ids == {0}
-
-
 @given(multigraphs(max_edges=9))
 @settings(max_examples=80, deadline=None)
 def test_minimum_cycles_match_oracle(g):
@@ -180,25 +163,11 @@ def test_bounded_enumeration_matches_oracle(g):
 
 
 @given(multigraphs(max_edges=8))
-@settings(max_examples=50, deadline=None)
-def test_above_girth_agrees_with_oracle(g):
-    girth, mins = minimum_cycles(g)
-    above = shortest_cycle_above(g, None, girth)
-    cycles = oracle_cycles(g)
-    bigger = sorted(oracle_length(g, c) for c in cycles if oracle_length(g, c) > girth)
-    if bigger:
-        assert above is not None and above[0] == bigger[0]
-    else:
-        assert above is None
-        assert len(mins) == len(cycles)
-
-
-@given(multigraphs(max_edges=8))
 @settings(max_examples=40, deadline=None)
 def test_systole_invariants(g):
     girth, mins = minimum_cycles(g)
     assert all(cycle_length(g, c) == girth for c in mins)
-    assert shortest_cycle(g)[0] == girth
+    assert minimum_cycles(g)[0] == girth
     for c in mins:
         assert len(set(c.edge_ids)) == len(c)
 

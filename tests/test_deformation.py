@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction
 
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspine.cycles import all_systoles, minimum_cycles, shortest_cycle_above
+from graphspine.cycles import all_systoles, minimum_cycles
 from graphspine.deformation import (
-    kernel_basis,
     local_deformation_dimension,
     rational_rank,
     systole_equality_system,
     vcd_witness,
 )
 
+from .oracles import oracle_cycles, oracle_length
 from .strategies import outer_graphs, random_relabeling
 
 
@@ -57,12 +58,14 @@ def test_vcd_examples(theta, k4):
 
 
 def _kernel_step_preserves_systoles(g, rng):
-    kernel = kernel_basis(systole_equality_system(g), g.num_edges)
+    system = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                           for row in systole_equality_system(g)])
+    kernel = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in system.nullspace()]
     if not kernel:
         return
     girth, mins = minimum_cycles(g)
-    above = shortest_cycle_above(g, None, girth)
-    gap = above[0] - girth if above is not None else girth
+    longer = [oracle_length(g, c) for c in oracle_cycles(g) if oracle_length(g, c) > girth]
+    gap = min(longer) - girth if longer else girth
     base = [g.lengths[e.id] for e in g.edges]
     for _ in range(10):
         coeffs = [Fraction(rng.randint(-3, 3)) for _ in kernel]
@@ -105,19 +108,31 @@ def test_dim_lower_bound_and_invariance(g):
     assert rec.rank_diff == rec2.rank_diff
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4),
-        min_size=1, max_size=5),
-)
-@settings(max_examples=80, deadline=None)
-def test_rational_rank_and_kernel_match_sympy(rows):
-    import sympy
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices up to 6 x 9, entries with denominators 1 to 4: dense,
+    all zero, or rank deficient (every row a rational combination of a few
+    drawn rows)."""
+    nrows = draw(st.integers(min_value=1, max_value=6))
+    ncols = draw(st.integers(min_value=1, max_value=9))
+    entries = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    kind = draw(st.sampled_from(["dense", "zero", "deficient"]))
+    if kind == "zero":
+        return [[Fraction(0)] * ncols for _ in range(nrows)]
+    if kind == "dense":
+        return draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+    k = draw(st.integers(min_value=1, max_value=max(1, min(nrows, ncols) - 1)))
+    basis = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                          min_size=k, max_size=k))
+    coeffs = draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=nrows, max_size=nrows))
+    return [[sum((c * b[j] for c, b in zip(cs, basis)), Fraction(0)) for j in range(ncols)]
+            for cs in coeffs]
 
-    fr = [[Fraction(x) for x in row] for row in rows]
-    m = sympy.Matrix(rows)
-    assert rational_rank(fr) == m.rank()
-    kernel = kernel_basis(fr, 4)
-    assert len(kernel) == 4 - m.rank()
-    for vec in kernel:
-        assert all(sum(r * x for r, x in zip(row, vec)) == 0 for row in fr)
+
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_rational_rank_and_kernel_match_sympy(rows):
+    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+    assert rational_rank(rows) == m.rank()

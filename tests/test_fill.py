@@ -10,7 +10,6 @@ from graphspine.errors import GraphSpineError, NotOuterSpace
 from graphspine.fill import (
     classify_membership,
     geometrically_fills,
-    support_betti,
     systole_profile,
     systole_support,
     topologically_fills,
@@ -60,11 +59,6 @@ def test_membership_refuses_rank_one():
     loop = MetricGraph(1, (Edge(0, 0, 0, Fraction(1)),), "circle")
     with pytest.raises(NotOuterSpace):
         classify_membership(loop)
-
-
-def test_support_betti(dumbbell_eq, theta):
-    assert support_betti(dumbbell_eq, systole_support(dumbbell_eq)) == 2
-    assert support_betti(theta, systole_support(theta)) == 2
 
 
 @given(multigraphs(max_edges=8))

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspine.errors import (
-    CapExceeded,
-    NotOuterSpace,
-    NotUnitVolume,
-    ParameterOutOfRange,
-)
+from graphspine.errors import CapExceeded, NotOuterSpace, NotUnitVolume
 from graphspine.graphs import (
     Edge,
     MetricGraph,
@@ -21,46 +16,43 @@ from graphspine.graphs import (
     rank,
 )
 from graphspine.cycles import minimum_cycles
-from graphspine.fill import geometrically_fills, support_betti, systole_support
+from graphspine.fill import geometrically_fills, systole_support
 from graphspine.flow import (
     NEW_SYSTOLES,
     STAGE_COMPLETE,
     Event,
     FlowState,
+    _leg_lengths,
     apply_event,
-    flow_lengths_at,
     next_event,
     retract_to_spine,
 )
 
 from .conftest import make_dumbbell, make_theta, run_python
-from .oracles import oracle_next_event
+from .oracles import oracle_next_event, oracle_support_betti
 from .strategies import outer_graphs, random_cubic_graph, random_outer_graph, random_relabeling
+
+
+def _lengths_at(state, mu):
+    """Edge lengths at ``mu`` along the state's stage line."""
+    return _leg_lengths(state.graph, state.support.edge_ids, state.support.total_length, mu)
 
 
 def test_flow_lengths_identity_at_one(dumbbell_eq):
     state = FlowState.initial(dumbbell_eq)
-    assert flow_lengths_at(state, Fraction(1)) == dumbbell_eq.lengths
+    assert _lengths_at(state, Fraction(1)) == dumbbell_eq.lengths
 
 
 def test_flow_lengths_dumbbell_collapse(dumbbell_eq):
     state = FlowState.initial(dumbbell_eq)
-    lengths = flow_lengths_at(state, Fraction(3, 2))
+    lengths = _lengths_at(state, Fraction(3, 2))
     assert lengths == {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0)}
 
 
 def test_flow_lengths_theta(theta_long):
     state = FlowState.initial(theta_long)
-    lengths = flow_lengths_at(state, Fraction(4, 3))
+    lengths = _lengths_at(state, Fraction(4, 3))
     assert lengths == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
-
-
-def test_flow_lengths_out_of_range(dumbbell_eq):
-    state = FlowState.initial(dumbbell_eq)
-    with pytest.raises(ParameterOutOfRange):
-        flow_lengths_at(state, Fraction(1, 2))
-    with pytest.raises(ParameterOutOfRange):
-        flow_lengths_at(state, Fraction(2))
 
 
 def test_next_event_dumbbell_unequal(dumbbell_uneq):
@@ -176,7 +168,7 @@ def test_retraction_commutes_with_relabeling():
 def _check_trajectory_invariants(g, traj):
     assert traj.initial == g
     sigma_prev, _ = minimum_cycles(g)
-    betti_prev = support_betti(g, systole_support(g))
+    betti_prev = oracle_support_betti(g, systole_support(g).edge_ids)
     stage_prev = 1
     stage_edges = g.num_edges
     u_prev = Fraction(0)
@@ -188,7 +180,7 @@ def _check_trajectory_invariants(g, traj):
         sigma, mins = minimum_cycles(snapshot)
         assert sigma == event.sigma_after
         assert sigma >= sigma_prev
-        betti = support_betti(snapshot, systole_support(snapshot))
+        betti = oracle_support_betti(snapshot, systole_support(snapshot).edge_ids)
         assert betti >= betti_prev
         assert event.stage == stage_prev
         assert event.u_star > u_prev

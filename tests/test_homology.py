@@ -11,7 +11,6 @@ from graphspine.graphs import Cycle, Edge, MetricGraph, rank
 from graphspine.homology import (
     build_basis,
     cycle_class,
-    fundamental_cycle,
     is_well_rounded,
     lattice_verdict,
     smith_normal_form,
@@ -19,7 +18,7 @@ from graphspine.homology import (
 )
 
 from .conftest import run_python
-from .oracles import oracle_lattice, oracle_systoles
+from .oracles import oracle_fundamental_cycle, oracle_lattice, oracle_systoles
 from .strategies import multigraphs
 
 
@@ -34,21 +33,21 @@ def test_fundamental_cycles_are_unit_vectors(theta, k4, dumbbell_eq):
     for g in (theta, k4, dumbbell_eq):
         b = build_basis(g)
         for i, chord in enumerate(b.chords):
-            fc = fundamental_cycle(g, b, chord)
+            fc = oracle_fundamental_cycle(g, b.tree_edge_ids, chord)
             expected = tuple(1 if j == i else 0 for j in range(b.n))
             assert cycle_class(g, b, fc) == expected
 
 
 def test_theta_class_example(theta):
     b = build_basis(theta)
-    c = Cycle.make(theta, ((1, 0), (2, 1)), canonical=False)
+    c = Cycle.make(theta, ((1, 0), (2, 1)))
     v = cycle_class(theta, b, c)
     assert v in ((1, -1), (-1, 1))
 
 
 def test_reversal_negates_class(k4):
     b = build_basis(k4)
-    c = fundamental_cycle(k4, b, b.chords[0])
+    c = oracle_fundamental_cycle(k4, b.tree_edge_ids, b.chords[0])
     assert cycle_class(k4, b, c.reverse()) == tuple(-x for x in cycle_class(k4, b, c))
 
 
@@ -122,6 +121,12 @@ def test_snf_rejects_ragged_rows():
     # under -O a bare assert would let this through as divisors (1, 6)
     with pytest.raises(ValueError):
         smith_normal_form([(2, 0), (0, 3, 5)])
+    # a non-integer entry is the caller's error: truncated, it would fail the
+    # self-check, or give a lattice verdict of rank 1 with infinite index
+    with pytest.raises(ValueError):
+        smith_normal_form([[Fraction(1, 2)]])
+    with pytest.raises(ValueError):
+        lattice_verdict([[Fraction(1, 2), 0], [0, 1]], 2)
 
 
 def test_snf_check_survives_optimize():

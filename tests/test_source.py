@@ -1,9 +1,15 @@
 import ast
+import json
 from pathlib import Path
 
 import graphspine
 
 PACKAGE = Path(graphspine.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+
+# The documented data API: these read a bundled dataset and its golden .props
+# sidecar for callers outside the package; nothing inside needs them.
+DATA_API = {"bundled_graph", "dataset_properties"}
 
 
 def test_package_has_no_assert_statement():
@@ -15,3 +21,33 @@ def test_package_has_no_assert_statement():
              for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _referenced_names(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_export_has_a_user():
+    # an exported name is wired into a command, a check or the benchmark:
+    # package code or a script uses it (a def or class statement alone is no
+    # use), or BENCHMARK.json traces it as <layer>.<name>
+    exports = {alias.asname or alias.name: node.module
+               for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom) and node.level == 1
+               for alias in node.names}
+    assert "smith_normal_form" in exports
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    used = set().union(*map(_referenced_names, sources + sorted((ROOT / "scripts").glob("*.py"))))
+    traced = {".".join(m["name"].split(".")[:2])
+              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    unused = sorted(name for name, module in exports.items()
+                    if name not in used | DATA_API and f"{module}.{name}" not in traced)
+    assert unused == [], unused
