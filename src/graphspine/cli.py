@@ -95,8 +95,8 @@ def cmd_analyze(args) -> int:
     profile = systole_profile(g, cap=args.cycle_cap)
     girth, systoles, support, verdict = (
         profile.girth, profile.systoles, profile.support, profile.lattice)
-    topo = topologically_fills(g, profile)
-    geo = geometrically_fills(g, profile)
+    topo = topologically_fills(profile)
+    geo = geometrically_fills(profile)
     report: dict[str, Any] = {
         "graph": g.name,
         "V": g.num_vertices,
@@ -120,7 +120,7 @@ def cmd_analyze(args) -> int:
         "fills": {"topological": topo, "geometric": geo},
     }
     if rank(g) >= 2:
-        m = classify_membership(g, profile)
+        m = classify_membership(profile)
         report["membership"] = {"W": m.in_W, "V": m.in_V, "Vprime": m.in_Vprime}
     if args.json:
         _emit_json(report)
@@ -210,7 +210,7 @@ def cmd_retract(args) -> int:
 
 def cmd_dimension(args) -> int:
     g = _load_graph(args.file, permissive=False)
-    rec = vcd_witness(g, systole_profile(g, cap=args.cycle_cap))
+    rec = vcd_witness(systole_profile(g, cap=args.cycle_cap))
     payload = {
         "graph": g.name,
         "E": rec.deformation.E,

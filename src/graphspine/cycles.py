@@ -18,6 +18,7 @@ import heapq
 import itertools
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Mapping, Optional
 
 from .errors import BudgetExceeded, InvariantViolation, NoCycle
@@ -36,15 +37,22 @@ def _as_weights(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> Ma
 
 
 def _scaled(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> tuple[dict[int, int], int]:
-    """The integer weights ``w·D`` and D, the lcm of the weight denominators."""
+    """The integer weights ``w·D`` and D, the lcm of the weight denominators.
+    A weight that is not a Fraction or an int (a float, a string) has no
+    denominator and raises ValueError."""
     w = _as_weights(g, weights)
-    den = lcm(*(w[e.id].denominator for e in g.edges))
+    try:
+        den = lcm(*(w[e.id].denominator for e in g.edges))
+    except AttributeError:
+        raise ValueError("every weight must be a Fraction or an int") from None
     return {e.id: w[e.id].numerator * (den // w[e.id].denominator) for e in g.edges}, den
 
 
-def _scaled_floor(x: Fraction, den: int) -> int:
-    """floor(x·D): an integer length L satisfies L <= x·D iff L <= floor(x·D)."""
-    x = Fraction(x)
+def _scaled_floor(x: Rational, den: int) -> int:
+    """floor(x·D): an integer length L satisfies L <= x·D iff L <= floor(x·D).
+    A float bound would be rounded, so only a Fraction or an int is taken."""
+    if not isinstance(x, Rational):
+        raise ValueError(f"the bound must be a Fraction or an int, got {x!r}")
     return x.numerator * den // x.denominator
 
 
@@ -181,9 +189,9 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
     exact shortest-path lower bounds.
     """
     w, den = _scaled(g, weights)
-    if bound < 0:
-        return ()
     limit = _scaled_floor(bound, den)
+    if limit < 0:
+        return ()
     bridges = bridge_ids(g)
     found: list[Cycle] = []
     adj = g.adjacency

@@ -13,11 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation
 from .graphs import Cycle, MetricGraph, rank, require_outer_space
-from .fill import SystoleProfile, systole_profile
+from .fill import SystoleProfile
 from .homology import smith_normal_form
 
 
@@ -33,18 +33,14 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def indicator_row(g: MetricGraph, c: Cycle) -> tuple[int, ...]:
-    cols = {e.id: i for i, e in enumerate(g.edges)}
-    row = [0] * g.num_edges
-    for eid in c.edge_ids:
-        row[cols[eid]] = 1
-    return tuple(row)
+    return tuple(1 if e.id in c.edge_ids else 0 for e in g.edges)
 
 
-def systole_equality_system(g: MetricGraph, profile: Optional[SystoleProfile] = None
-                            ) -> tuple[tuple[Fraction, ...], ...]:
+def systole_equality_system(profile: SystoleProfile) -> tuple[tuple[Fraction, ...], ...]:
     """Constraint matrix: F-1 consecutive length-difference rows followed by
-    the all-ones volume row; columns follow g.edges order."""
-    indicators = [indicator_row(g, c) for c in (profile or systole_profile(g)).systoles]
+    the all-ones volume row; columns follow the graph's edge order."""
+    g = profile.graph
+    indicators = [indicator_row(g, c) for c in profile.systoles]
     rows: list[tuple[Fraction, ...]] = []
     for i in range(len(indicators) - 1):
         rows.append(tuple(Fraction(b - a) for a, b in zip(indicators[i], indicators[i + 1])))
@@ -62,16 +58,15 @@ class DeformationRecord:
     has_positive_direction: bool
 
 
-def local_deformation_dimension(g: MetricGraph,
-                                profile: Optional[SystoleProfile] = None) -> DeformationRecord:
-    """Dimension of the systole-preserving deformation space at g.
+def local_deformation_dimension(profile: SystoleProfile) -> DeformationRecord:
+    """Dimension of the systole-preserving deformation space at the profile's graph.
 
     Every non-systole cycle is strictly longer by construction: the profile
     holds the complete set of minimum-length cycles.
     """
+    g = profile.graph
     require_outer_space(g)
-    profile = profile or systole_profile(g)
-    system = systole_equality_system(g, profile)
+    system = systole_equality_system(profile)
     diff_rows = system[:-1]
     rank_diff = rational_rank(diff_rows)
     dim = g.num_edges - 1 - rank_diff
@@ -100,10 +95,10 @@ class VcdRecord:
     deformation: DeformationRecord
 
 
-def vcd_witness(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> VcdRecord:
+def vcd_witness(profile: SystoleProfile) -> VcdRecord:
     """Compare the local deformation dimension with 2n - 3."""
-    record = local_deformation_dimension(g, profile)
-    n = rank(g)
+    record = local_deformation_dimension(profile)
+    n = rank(profile.graph)
     vcd = 2 * n - 3
     return VcdRecord(n=n, dim=record.dim, vcd=vcd, exceeds=record.dim > vcd,
                      deformation=record)

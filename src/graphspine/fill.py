@@ -1,7 +1,7 @@
 """Systole profile, systole support and the fill predicates.
 
-A ``SystoleProfile`` holds the systoles of one graph, enumerated once, for
-every consumer: lattice, fill, membership and deformation.  A family of
+A ``SystoleProfile`` holds one graph and its systoles, enumerated once; each
+consumer (lattice, fill, membership, deformation) takes it alone.  A family of
 curves topologically fills when every component of the complement of their
 union is contractible (equivalently: no embedded cycle is point-wise disjoint
 from the union), and geometrically fills when the union is the whole graph.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, NotOuterSpace
 from .graphs import Cycle, MetricGraph, _DisjointSets, cycle_vertices, rank
@@ -44,9 +44,9 @@ def support_of(g: MetricGraph, cycles: Sequence[Cycle]) -> SystoleSupport:
 
 @dataclass(frozen=True)
 class SystoleProfile:
-    """The systoles of one graph, as built by ``systole_profile``: girth, the
-    canonical systole tuple and their support.  The lattice verdict is
-    computed on first use, then kept.  Pass a profile only with its graph."""
+    """The systoles of one graph, as built by ``systole_profile``: the graph,
+    its girth, the canonical systole tuple and their support.  The lattice
+    verdict is computed on first use, then kept."""
 
     graph: MetricGraph
     girth: Fraction
@@ -64,8 +64,8 @@ def systole_profile(g: MetricGraph, cap: int = DEFAULT_CYCLE_CAP) -> SystoleProf
     return SystoleProfile(g, girth, systoles, support_of(g, systoles))
 
 
-def systole_support(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> SystoleSupport:
-    return (profile or systole_profile(g)).support
+def systole_support(profile: SystoleProfile) -> SystoleSupport:
+    return profile.support
 
 
 def _complement_is_forest(g: MetricGraph, support: SystoleSupport) -> bool:
@@ -76,14 +76,14 @@ def _complement_is_forest(g: MetricGraph, support: SystoleSupport) -> bool:
                if e.u not in inside and e.v not in inside)
 
 
-def topologically_fills(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> bool:
-    """Whether every cycle of g meets the systole union in at least a point."""
-    return _complement_is_forest(g, systole_support(g, profile))
+def topologically_fills(profile: SystoleProfile) -> bool:
+    """Whether every cycle of the graph meets the systole union in at least a point."""
+    return _complement_is_forest(profile.graph, profile.support)
 
 
-def geometrically_fills(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> bool:
+def geometrically_fills(profile: SystoleProfile) -> bool:
     """Whether the systoles cover every edge."""
-    return systole_support(g, profile).covers(g)
+    return profile.support.covers(profile.graph)
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,14 @@ class Membership:
     support: SystoleSupport
 
 
-def classify_membership(g: MetricGraph, profile: Optional[SystoleProfile] = None) -> Membership:
+def classify_membership(profile: SystoleProfile) -> Membership:
     """Well-rounded / topological fill / geometric fill verdicts.
 
     Only defined for rank >= 2 (the moduli space convention starts there).
     """
+    g = profile.graph
     if rank(g) < 2:
         raise NotOuterSpace(f"membership classification needs rank >= 2, got {rank(g)}")
-    profile = profile or systole_profile(g)
     verdict, support = profile.lattice, profile.support
     in_v = _complement_is_forest(g, support)
     m = Membership(verdict.rank == rank(g), in_v, support.covers(g), verdict, support)

@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from .errors import ForeignCycle, InvariantViolation
 from .graphs import Cycle, MetricGraph, rank
-from .cycles import all_systoles
 
 
 @dataclass(frozen=True)
@@ -213,17 +212,15 @@ def lattice_verdict(classes: Sequence[Sequence[int]], ambient_rank: int) -> Latt
     return LatticeVerdict(tuple(map(tuple, classes)), ambient_rank, r, snf.divisors, index)
 
 
-def systole_lattice(g: MetricGraph, systoles: Optional[Sequence[Cycle]] = None) -> LatticeVerdict:
-    """Verdict on the lattice spanned by the classes of all systoles (the
-    given ones, which must be all of them, or else enumerated here)."""
+def systole_lattice(g: MetricGraph, systoles: Sequence[Cycle]) -> LatticeVerdict:
+    """Verdict on the lattice spanned by the classes of the given systoles,
+    which must be all of them."""
     basis = build_basis(g)
-    systoles = all_systoles(g) if systoles is None else systoles
     classes = [cycle_class(g, basis, c) for c in systoles]
     return lattice_verdict(classes, rank(g))
 
 
-def is_well_rounded(g: MetricGraph,
-                    systoles: Optional[Sequence[Cycle]] = None) -> tuple[bool, LatticeVerdict]:
+def is_well_rounded(g: MetricGraph, systoles: Sequence[Cycle]) -> tuple[bool, LatticeVerdict]:
     """True iff the systole classes span a finite-index subgroup of H_1."""
     verdict = systole_lattice(g, systoles)
     return verdict.rank == rank(g), verdict

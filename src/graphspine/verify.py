@@ -51,8 +51,8 @@ def _check(name: str, condition: bool, detail: str) -> CheckResult:
 def check_theta_analysis(data: Bundled) -> CheckResult:
     g = data.load("theta").graph
     profile = systole_profile(g)
-    m = classify_membership(g, profile)
-    rec = local_deformation_dimension(g, profile)
+    m = classify_membership(profile)
+    rec = local_deformation_dimension(profile)
     girth, systoles = profile.girth, profile.systoles
     ok = (
         girth == Fraction(2, 3)
@@ -69,7 +69,7 @@ def check_theta_analysis(data: Bundled) -> CheckResult:
 
 def check_dumbbell_membership(data: Bundled) -> CheckResult:
     g = data.load("dumbbell_equal").graph
-    m = classify_membership(g)
+    m = classify_membership(systole_profile(g))
     ok = m.in_W and m.in_V and not m.in_Vprime
     return _check(
         "dumbbell-equal-membership", ok,
@@ -138,12 +138,12 @@ def check_k4_analysis(data: Bundled) -> CheckResult:
     profile = systole_profile(g)
     girth, systoles = profile.girth, profile.systoles
     well, verdict = is_well_rounded(g, systoles)
-    rec = vcd_witness(g, profile)
+    rec = vcd_witness(profile)
     ok = (
         girth == Fraction(1, 2)
         and len(systoles) == 4
         and well and verdict.index == 1
-        and geometrically_fills(g, profile)
+        and geometrically_fills(profile)
         and rec.deformation.E == 6 and rec.deformation.F == 4
         and rec.dim == 2 and rec.vcd == 3 and not rec.exceeds
     )
@@ -223,8 +223,8 @@ def check_klein_chain(data: Bundled) -> CheckResult:
     g = normalize_volume(data.load("klein_73").skeleton_unit())
     profile = systole_profile(g)
     well, verdict = is_well_rounded(g, profile.systoles)
-    fills = geometrically_fills(g, profile)
-    rec = vcd_witness(g, profile)
+    fills = geometrically_fills(profile)
+    rec = vcd_witness(profile)
     ok = (
         not well
         and verdict.rank <= 23

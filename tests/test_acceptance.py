@@ -12,7 +12,12 @@ from fractions import Fraction
 from graphspine.graphs import are_isomorphic, normalize_volume, rank
 from graphspine.cycles import all_systoles, minimum_cycles
 from graphspine.homology import build_basis, cycle_class, is_well_rounded, lattice_verdict
-from graphspine.fill import classify_membership, geometrically_fills, topologically_fills
+from graphspine.fill import (
+    classify_membership,
+    geometrically_fills,
+    systole_profile,
+    topologically_fills,
+)
 from graphspine.flow import NEW_SYSTOLES, STAGE_COMPLETE, retract_to_spine
 from graphspine.deformation import local_deformation_dimension, vcd_witness
 from graphspine.maps import euler_relations, flag_transitivity, systoles_equal_faces
@@ -39,11 +44,12 @@ def test_acceptance_01_equilateral_theta():
     girth, systoles = minimum_cycles(g)
     assert girth == Fraction(2, 3)
     assert len(systoles) == 3
-    well, verdict = is_well_rounded(g)
+    well, verdict = is_well_rounded(g, systoles)
     assert well and verdict.index == 1
-    m = classify_membership(g)
+    p = systole_profile(g)
+    m = classify_membership(p)
     assert (m.in_W, m.in_V, m.in_Vprime) == (True, True, True)
-    rec = local_deformation_dimension(g)
+    rec = local_deformation_dimension(p)
     assert rec.dim == 0
     elapsed = time.monotonic() - start
     assert elapsed < 1
@@ -54,7 +60,7 @@ def test_acceptance_01_equilateral_theta():
 def test_acceptance_02_equal_dumbbell():
     start = time.monotonic()
     g = make_dumbbell()
-    m = classify_membership(g)
+    m = classify_membership(systole_profile(g))
     assert (m.in_W, m.in_V, m.in_Vprime) == (True, True, False)
     sigma0 = minimum_cycles(g)[0]
     traj = retract_to_spine(g)
@@ -96,7 +102,7 @@ def test_acceptance_04_unbalanced_theta():
     assert traj.events[0].kind == NEW_SYSTOLES
     assert traj.events[0].u_star == Fraction(4, 3)
     assert are_isomorphic(traj.final_graph, make_theta()) is not None
-    assert geometrically_fills(traj.final_graph)
+    assert geometrically_fills(systole_profile(traj.final_graph))
     elapsed = time.monotonic() - start
     assert elapsed < 1
     report(4, f"theta(1/2,1/4,1/4): one event at u*=4/3 onto the equilateral "
@@ -109,10 +115,11 @@ def test_acceptance_05_k4():
     girth, systoles = minimum_cycles(g)
     assert girth == Fraction(1, 2)
     assert len(systoles) == 4 and all(len(c) == 3 for c in systoles)
-    well, verdict = is_well_rounded(g)
+    well, verdict = is_well_rounded(g, systoles)
     assert well and verdict.index == 1
-    assert geometrically_fills(g)
-    w = vcd_witness(g)
+    p = systole_profile(g)
+    assert geometrically_fills(p)
+    w = vcd_witness(p)
     assert (w.deformation.E, w.deformation.F, w.dim, w.vcd, w.exceeds) == (6, 4, 2, 3, False)
     elapsed = time.monotonic() - start
     assert elapsed < 1
@@ -160,13 +167,13 @@ def test_acceptance_07_klein_chain():
     rep = systoles_equal_faces(m)
     assert rep.girth == 7  # computed and reported either way
     if rep.equal:
-        g = normalize_volume(m.skeleton_unit())
-        well, verdict = is_well_rounded(g)
+        p = systole_profile(normalize_volume(m.skeleton_unit()))
+        well, verdict = is_well_rounded(p.graph, p.systoles)
         assert not well
         assert verdict.rank <= 23 < 29
         assert verdict.index is None
-        assert geometrically_fills(g)
-        w = vcd_witness(g)
+        assert geometrically_fills(p)
+        w = vcd_witness(p)
         assert w.deformation.dim >= 60 > 55 == w.vcd
         assert w.exceeds
         outcome = (f"systoles = 24 faces; lattice rank {verdict.rank} (infinite "
@@ -206,7 +213,7 @@ def test_acceptance_09_oracle_equivalence():
         girth, mins = minimum_cycles(g)
         o_girth, o_mins = oracle_systoles(g)
         assert girth == o_girth and set(mins) == o_mins
-        assert topologically_fills(g) == oracle_topologically_fills(g)
+        assert topologically_fills(systole_profile(g)) == oracle_topologically_fills(g)
         basis = build_basis(g)
         classes = [cycle_class(g, basis, c) for c in mins]
         got = lattice_verdict(classes, rank(g))
@@ -227,11 +234,12 @@ def test_acceptance_10_equivariance():
         g = random_outer_graph(rng, 2, 4)
         mangled, vperm, emap = random_relabeling(rng, g)
         assert {relabel_cycle(c, emap) for c in all_systoles(g)} == set(all_systoles(mangled))
-        a, b = classify_membership(g), classify_membership(mangled)
+        pa, pb = systole_profile(g), systole_profile(mangled)
+        a, b = classify_membership(pa), classify_membership(pb)
         assert (a.in_W, a.in_V, a.in_Vprime) == (b.in_W, b.in_V, b.in_Vprime)
         assert (a.lattice.rank, a.lattice.divisors, a.lattice.index) == (
             b.lattice.rank, b.lattice.divisors, b.lattice.index)
-        ra, rb = local_deformation_dimension(g), local_deformation_dimension(mangled)
+        ra, rb = local_deformation_dimension(pa), local_deformation_dimension(pb)
         assert (ra.F, ra.rank_diff, ra.dim) == (rb.F, rb.rank_diff, rb.dim)
         ta, tb = retract_to_spine(g), retract_to_spine(mangled)
         assert [e.u_star for e in ta.events] == [e.u_star for e in tb.events]

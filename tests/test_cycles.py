@@ -79,6 +79,23 @@ def test_cycles_up_to_length_theta(theta):
     assert len(cycles_up_to_length(theta, Fraction(2, 3))) == 3
 
 
+def test_float_bound_is_refused(theta):
+    # the binary value of 2/3 lies below the exact girth, so a float bound
+    # would silently return no cycle at all
+    with pytest.raises(ValueError):
+        cycles_up_to_length(theta, 2 / 3)
+
+
+def test_string_bound_is_refused(theta):
+    with pytest.raises(ValueError):
+        cycles_up_to_length(theta, "2/3")
+
+
+def test_float_weight_is_refused(theta):
+    with pytest.raises(ValueError):
+        minimum_cycles(theta, weights={e.id: 0.5 for e in theta.edges})
+
+
 def test_cycles_up_to_length_k4(k4):
     cycles = cycles_up_to_length(k4, Fraction(2, 3))
     assert len(cycles) == 7  # 4 triangles + 3 squares

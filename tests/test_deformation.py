@@ -12,13 +12,14 @@ from graphspine.deformation import (
     systole_equality_system,
     vcd_witness,
 )
+from graphspine.fill import systole_profile
 
 from .oracles import oracle_cycles, oracle_length
 from .strategies import outer_graphs, random_relabeling
 
 
 def test_system_theta(theta):
-    system = systole_equality_system(theta)
+    system = systole_equality_system(systole_profile(theta))
     assert len(system) == 3  # two difference rows + volume row
     assert system[-1] == (Fraction(1),) * 3
     assert rational_rank(system[:-1]) == 2
@@ -26,40 +27,40 @@ def test_system_theta(theta):
 
 
 def test_system_rose(rose2):
-    system = systole_equality_system(rose2)
+    system = systole_equality_system(systole_profile(rose2))
     assert len(system) == 2
     assert system[0] in ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(1)))
     assert rational_rank(system) == 2
 
 
 def test_system_single_systole(dumbbell_uneq):
-    system = systole_equality_system(dumbbell_uneq)
+    system = systole_equality_system(systole_profile(dumbbell_uneq))
     assert len(system) == 1  # just the volume row
     assert system[0] == (Fraction(1),) * 3
 
 
 def test_dimension_theta(theta):
-    rec = local_deformation_dimension(theta)
+    rec = local_deformation_dimension(systole_profile(theta))
     assert (rec.E, rec.F, rec.rank_diff, rec.dim) == (3, 3, 2, 0)
     assert rec.has_positive_direction
 
 
 def test_dimension_k4(k4):
-    rec = local_deformation_dimension(k4)
+    rec = local_deformation_dimension(systole_profile(k4))
     assert (rec.E, rec.F, rec.rank_diff, rec.dim) == (6, 4, 3, 2)
     assert rec.dim >= rec.lower_bound == 2
 
 
 def test_vcd_examples(theta, k4):
-    w = vcd_witness(theta)
+    w = vcd_witness(systole_profile(theta))
     assert (w.dim, w.vcd, w.exceeds) == (0, 1, False)
-    w2 = vcd_witness(k4)
+    w2 = vcd_witness(systole_profile(k4))
     assert (w2.dim, w2.vcd, w2.exceeds) == (2, 3, False)
 
 
 def _kernel_step_preserves_systoles(g, rng):
     system = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
-                           for row in systole_equality_system(g)])
+                           for row in systole_equality_system(systole_profile(g))])
     kernel = [[Fraction(int(x.p), int(x.q)) for x in vec] for vec in system.nullspace()]
     if not kernel:
         return
@@ -100,10 +101,10 @@ def test_kernel_perturbation_random(g):
 @given(outer_graphs(rank_lo=2, rank_hi=4))
 @settings(max_examples=25, deadline=None)
 def test_dim_lower_bound_and_invariance(g):
-    rec = local_deformation_dimension(g)
+    rec = local_deformation_dimension(systole_profile(g))
     assert rec.dim >= rec.lower_bound
     mangled, _, _ = random_relabeling(random.Random(3), g)
-    rec2 = local_deformation_dimension(mangled)
+    rec2 = local_deformation_dimension(systole_profile(mangled))
     assert rec.dim == rec2.dim
     assert rec.rank_diff == rec2.rank_diff
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspine.deformation import local_deformation_dimension, systole_equality_system, vcd_witness
-from graphspine.errors import GraphSpineError, NotOuterSpace
+from graphspine.deformation import systole_equality_system
+from graphspine.errors import NotOuterSpace
 from graphspine.fill import (
     classify_membership,
     geometrically_fills,
@@ -14,28 +14,29 @@ from graphspine.fill import (
     systole_support,
     topologically_fills,
 )
-from graphspine.graphs import Cycle
-from graphspine.homology import is_well_rounded, systole_lattice
-from .oracles import oracle_support, oracle_systoles, oracle_topologically_fills
+from graphspine.graphs import Cycle, rank
+from graphspine.homology import build_basis, cycle_class, is_well_rounded, systole_lattice
+from .oracles import oracle_lattice, oracle_support, oracle_systoles, oracle_topologically_fills
 from .strategies import multigraphs, outer_graphs
 
 
 def test_support_theta(theta):
-    s = systole_support(theta)
+    s = systole_support(systole_profile(theta))
     assert s.edge_ids == {0, 1, 2}
     assert s.total_length == 1
 
 
 def test_support_dumbbells(dumbbell_eq, dumbbell_uneq):
-    s = systole_support(dumbbell_eq)
+    s = systole_support(systole_profile(dumbbell_eq))
     assert s.edge_ids == {0, 1}
     assert s.total_length == Fraction(2, 3)
-    s2 = systole_support(dumbbell_uneq)
+    s2 = systole_support(systole_profile(dumbbell_uneq))
     assert s2.edge_ids == {0}
     assert s2.total_length == Fraction(1, 4)
 
 
 def test_fill_examples(theta, dumbbell_eq, dumbbell_uneq):
+    theta, dumbbell_eq, dumbbell_uneq = map(systole_profile, (theta, dumbbell_eq, dumbbell_uneq))
     assert topologically_fills(theta)
     assert geometrically_fills(theta)
     assert topologically_fills(dumbbell_eq)       # complement is the open bar
@@ -45,11 +46,11 @@ def test_fill_examples(theta, dumbbell_eq, dumbbell_uneq):
 
 
 def test_membership_examples(theta, dumbbell_eq, dumbbell_uneq):
-    m = classify_membership(dumbbell_eq)
+    m = classify_membership(systole_profile(dumbbell_eq))
     assert (m.in_W, m.in_V, m.in_Vprime) == (True, True, False)
-    m2 = classify_membership(theta)
+    m2 = classify_membership(systole_profile(theta))
     assert (m2.in_W, m2.in_V, m2.in_Vprime) == (True, True, True)
-    m3 = classify_membership(dumbbell_uneq)
+    m3 = classify_membership(systole_profile(dumbbell_uneq))
     assert (m3.in_W, m3.in_V, m3.in_Vprime) == (False, False, False)
 
 
@@ -58,13 +59,13 @@ def test_membership_refuses_rank_one():
 
     loop = MetricGraph(1, (Edge(0, 0, 0, Fraction(1)),), "circle")
     with pytest.raises(NotOuterSpace):
-        classify_membership(loop)
+        classify_membership(systole_profile(loop))
 
 
 @given(multigraphs(max_edges=8))
 @settings(max_examples=80, deadline=None)
 def test_support_matches_oracle(g):
-    s = systole_support(g)
+    s = systole_support(systole_profile(g))
     edge_ids, vertex_ids, total = oracle_support(g)
     assert s.edge_ids == edge_ids
     assert s.vertex_ids == vertex_ids
@@ -74,20 +75,20 @@ def test_support_matches_oracle(g):
 @given(multigraphs(max_edges=8))
 @settings(max_examples=80, deadline=None)
 def test_topological_fill_matches_oracle(g):
-    assert topologically_fills(g) == oracle_topologically_fills(g)
+    assert topologically_fills(systole_profile(g)) == oracle_topologically_fills(g)
 
 
 @given(multigraphs(max_edges=8))
 @settings(max_examples=60, deadline=None)
 def test_geometric_implies_topological(g):
-    if geometrically_fills(g):
-        assert topologically_fills(g)
+    if geometrically_fills(systole_profile(g)):
+        assert topologically_fills(systole_profile(g))
 
 
 @given(outer_graphs())
 @settings(max_examples=40, deadline=None)
 def test_containment_laws(g):
-    m = classify_membership(g)
+    m = classify_membership(systole_profile(g))
     if m.in_W:
         assert m.in_V
     if m.in_Vprime:
@@ -100,16 +101,9 @@ def test_predicates_relabeling_invariant(g):
     from .strategies import random_relabeling
 
     mangled, _, _ = random_relabeling(random.Random(23), g)
-    assert topologically_fills(g) == topologically_fills(mangled)
-    assert geometrically_fills(g) == geometrically_fills(mangled)
-
-
-def _outcome(fn, *args):
-    """What fn(*args) returns, or the type of the domain error it raises."""
-    try:
-        return fn(*args)
-    except GraphSpineError as exc:
-        return type(exc)
+    p, q = systole_profile(g), systole_profile(mangled)
+    assert topologically_fills(p) == topologically_fills(q)
+    assert geometrically_fills(p) == geometrically_fills(q)
 
 
 @given(st.one_of(multigraphs(max_edges=8), outer_graphs()))
@@ -122,9 +116,21 @@ def test_profile_matches_oracle_and_every_consumer(g):
     edge_ids, vertex_ids, total = oracle_support(g)
     assert (p.support.edge_ids, p.support.vertex_ids, p.support.total_length) == (
         edge_ids, vertex_ids, total)
-    assert p.lattice == systole_lattice(g) == systole_lattice(g, p.systoles)
-    assert is_well_rounded(g, p.systoles) == is_well_rounded(g)
-    for consumer in (systole_support, topologically_fills, geometrically_fills,
-                     classify_membership, systole_equality_system,
-                     local_deformation_dimension, vcd_witness):
-        assert _outcome(consumer, g, p) == _outcome(consumer, g), consumer.__name__
+    basis = build_basis(g)
+    want = oracle_lattice([cycle_class(g, basis, c) for c in systoles], rank(g))
+    assert (p.lattice.rank, p.lattice.divisors, p.lattice.index) == want
+    assert p.lattice == systole_lattice(g, p.systoles)
+    assert is_well_rounded(g, p.systoles) == (p.lattice.rank == rank(g), p.lattice)
+    # every consumer reads the graph from the profile
+    covers = edge_ids == {e.id for e in g.edges}
+    assert systole_support(p) == p.support
+    assert topologically_fills(p) == oracle_topologically_fills(g)
+    assert geometrically_fills(p) == covers
+    system = systole_equality_system(p)
+    lengths = [e.length for e in g.edges]
+    assert len(system) == len(systoles)
+    assert all(sum(r * x for r, x in zip(row, lengths)) == 0 for row in system[:-1])
+    if rank(g) >= 2:
+        m = classify_membership(p)
+        assert (m.in_W, m.in_V, m.in_Vprime) == (
+            want[0] == rank(g), oracle_topologically_fills(g), covers)

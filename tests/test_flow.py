@@ -16,7 +16,7 @@ from graphspine.graphs import (
     rank,
 )
 from graphspine.cycles import minimum_cycles
-from graphspine.fill import geometrically_fills, systole_support
+from graphspine.fill import geometrically_fills, systole_profile, systole_support
 from graphspine.flow import (
     NEW_SYSTOLES,
     STAGE_COMPLETE,
@@ -168,7 +168,7 @@ def test_retraction_commutes_with_relabeling():
 def _check_trajectory_invariants(g, traj):
     assert traj.initial == g
     sigma_prev, _ = minimum_cycles(g)
-    betti_prev = oracle_support_betti(g, systole_support(g).edge_ids)
+    betti_prev = oracle_support_betti(g, systole_support(systole_profile(g)).edge_ids)
     stage_prev = 1
     stage_edges = g.num_edges
     u_prev = Fraction(0)
@@ -180,7 +180,7 @@ def _check_trajectory_invariants(g, traj):
         sigma, mins = minimum_cycles(snapshot)
         assert sigma == event.sigma_after
         assert sigma >= sigma_prev
-        betti = oracle_support_betti(snapshot, systole_support(snapshot).edge_ids)
+        betti = oracle_support_betti(snapshot, systole_support(systole_profile(snapshot)).edge_ids)
         assert betti >= betti_prev
         assert event.stage == stage_prev
         assert event.u_star > u_prev
@@ -197,7 +197,7 @@ def _check_trajectory_invariants(g, traj):
             u_prev = event.u_star
         sigma_prev, betti_prev = sigma, betti
     assert contractions <= max(g.num_vertices - 1, 0) or g.num_vertices == 1
-    assert geometrically_fills(traj.final_graph)
+    assert geometrically_fills(systole_profile(traj.final_graph))
     assert rank(traj.final_graph) == rank(g)
 
 
@@ -284,7 +284,7 @@ def test_stage_end_tie_sets_stay_small():
     capped = retract_to_spine(g, cycle_cap=1000)
     full = retract_to_spine(g)
     assert [_fields(e) for e in capped.events] == [_fields(e) for e in full.events]
-    assert capped.events and geometrically_fills(capped.final_graph)
+    assert capped.events and geometrically_fills(systole_profile(capped.final_graph))
     sigma, stage_edges, stage_events, contractions = minimum_cycles(g)[0], g.num_edges, 0, 0
     for event in capped.events:
         after = event.graph_after
