@@ -30,6 +30,7 @@ from .graphs import (
     serialize_graph,
 )
 from .cycles import DEFAULT_CYCLE_CAP
+from .homology import is_well_rounded
 from .fill import classify_membership, geometrically_fills, systole_profile, topologically_fills
 from .flow import retract_to_spine
 from .deformation import vcd_witness
@@ -97,6 +98,7 @@ def cmd_analyze(args) -> int:
         profile.girth, profile.systoles, profile.support, profile.lattice)
     topo = topologically_fills(profile)
     geo = geometrically_fills(profile)
+    well = is_well_rounded(profile)
     report: dict[str, Any] = {
         "graph": g.name,
         "V": g.num_vertices,
@@ -116,7 +118,7 @@ def cmd_analyze(args) -> int:
             "divisors": list(verdict.divisors),
             "index": verdict.index if verdict.index is not None else "infinite",
         },
-        "well_rounded": verdict.rank == rank(g),
+        "well_rounded": well,
         "fills": {"topological": topo, "geometric": geo},
     }
     if rank(g) >= 2:
@@ -136,7 +138,7 @@ def cmd_analyze(args) -> int:
           f"total length {_fmt(support.total_length)}")
     index = verdict.index if verdict.index is not None else "infinite"
     print(f"lattice: rank {verdict.rank}, divisors {list(verdict.divisors)}, index {index}")
-    print(f"well-rounded: {yn(verdict.rank == rank(g))}")
+    print(f"well-rounded: {yn(well)}")
     print(f"fills: topological {yn(topo)}, geometric {yn(geo)}")
     if "membership" in report:
         m = report["membership"]
@@ -166,18 +168,18 @@ def cmd_retract(args) -> int:
             "t_approx": e.t_approx,
             "new_cycles": [_cycle_json(c) for c in e.new_cycles],
             "contracted_edge_ids": list(e.contracted_edge_ids),
-            "graph_after": serialize_graph(e.graph_after),
-            "systole_length_after": e.sigma_after,
+            "graph_after": serialize_graph(e.after.graph),
+            "systole_length_after": e.after.girth,
         })
     payload = {
         "graph": g.name,
         "volume_normalized": normalized,
-        "initial": serialize_graph(traj.initial),
+        "initial": serialize_graph(traj.initial.graph),
         "events": events_payload,
         "final": {
-            "graph": serialize_graph(traj.final_graph),
-            "systole_length": traj.final_sigma,
-            "systole_count": len(traj.final_systoles),
+            "graph": serialize_graph(traj.final.graph),
+            "systole_length": traj.final.girth,
+            "systole_count": len(traj.final.systoles),
             "stages": traj.num_stages,
         },
     }
@@ -201,8 +203,8 @@ def cmd_retract(args) -> int:
         if e.contracted_edge_ids:
             bits.append(f"  contracted edges: {list(e.contracted_edge_ids)}")
         print("\n".join(bits))
-    print(f"final systole length: {_fmt(traj.final_sigma)} "
-          f"({len(traj.final_systoles)} systoles, graph covered)")
+    print(f"final systole length: {_fmt(traj.final.girth)} "
+          f"({len(traj.final.systoles)} systoles, graph covered)")
     if args.trace:
         print(f"trace written to {args.trace}")
     return 0
@@ -261,11 +263,11 @@ def cmd_map_check(args) -> int:
     if t.uniform:
         rep = systoles_equal_faces(m, cap=args.cycle_cap)
         payload["faces_equal_min_cycles"] = {
-            "girth": rep.girth,
+            "girth": rep.profile.girth,
             "p": rep.p,
             "equal": rep.equal,
             "face_count": rep.face_count,
-            "min_cycle_count": rep.min_cycle_count,
+            "min_cycle_count": len(rep.profile.systoles),
             "extra_min_cycles": [_cycle_json(c) for c in rep.extra_min_cycles],
         }
         if t.q == 3:

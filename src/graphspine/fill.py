@@ -1,10 +1,11 @@
 """Systole profile, systole support and the fill predicates.
 
 A ``SystoleProfile`` holds one graph and its systoles, enumerated once; each
-consumer (lattice, fill, membership, deformation) takes it alone.  A family of
-curves topologically fills when every component of the complement of their
-union is contractible (equivalently: no embedded cycle is point-wise disjoint
-from the union), and geometrically fills when the union is the whole graph.
+consumer (lattice, fill, membership, deformation, flow) takes it alone.  A
+family of curves topologically fills when every component of the complement
+of their union is contractible (equivalently: no embedded cycle is point-wise
+disjoint from the union), and geometrically fills when the union is the whole
+graph.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 from .errors import InvariantViolation, NotOuterSpace
 from .graphs import Cycle, MetricGraph, _DisjointSets, cycle_vertices, rank
 from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
-from .homology import LatticeVerdict, systole_lattice
+from .homology import LatticeVerdict, is_well_rounded, systole_lattice
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class SystoleProfile:
 
     @cached_property
     def lattice(self) -> LatticeVerdict:
-        return systole_lattice(self.graph, self.systoles)
+        return systole_lattice(self)
 
 
 def systole_profile(g: MetricGraph, cap: int = DEFAULT_CYCLE_CAP) -> SystoleProfile:
@@ -103,9 +104,9 @@ def classify_membership(profile: SystoleProfile) -> Membership:
     g = profile.graph
     if rank(g) < 2:
         raise NotOuterSpace(f"membership classification needs rank >= 2, got {rank(g)}")
-    verdict, support = profile.lattice, profile.support
-    in_v = _complement_is_forest(g, support)
-    m = Membership(verdict.rank == rank(g), in_v, support.covers(g), verdict, support)
+    support = profile.support
+    m = Membership(is_well_rounded(profile), _complement_is_forest(g, support),
+                   support.covers(g), profile.lattice, support)
     if (m.in_W or m.in_Vprime) and not m.in_V:
         raise InvariantViolation(f"{g.name} lies in W or V' but not in V")
     return m

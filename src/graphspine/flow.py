@@ -18,7 +18,7 @@ cycles are enumerated once, at the event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -39,7 +39,7 @@ from .graphs import (
     require_outer_space,
 )
 from .cycles import DEFAULT_CYCLE_CAP, _scaled, girth_value, minimum_cycles
-from .fill import SystoleSupport, support_of, systole_profile
+from .fill import SystoleProfile, support_of, systole_profile
 
 NEW_SYSTOLES = "new-systoles"
 STAGE_COMPLETE = "stage-complete"
@@ -51,38 +51,34 @@ _NEWTON_GUARD = 10_000
 class FlowState:
     """A point on a flow line.
 
-    ``u`` is the multiplicative parameter accumulated since the start of the
-    current stage (u = 1 right after a contraction); ``sigma`` is the current
-    systole length, ``stage_sigma`` and ``stage_s`` the systole length and
-    support length at stage start.  Volume stays exactly 1 throughout.
+    ``profile`` holds the current graph and its systoles; ``u`` is the
+    multiplicative parameter accumulated since the start of the current stage
+    (u = 1 right after a contraction), ``stage_sigma`` and ``stage_s`` the
+    systole length and support length at stage start.  Volume stays exactly 1
+    throughout.
     """
 
-    graph: MetricGraph
-    systoles: tuple[Cycle, ...]
-    support: SystoleSupport
-    sigma: Fraction
+    profile: SystoleProfile
     u: Fraction
     stage_sigma: Fraction
     stage_s: Fraction
     stage_index: int = 1
 
     @staticmethod
-    def initial(g: MetricGraph, cycle_cap: int = DEFAULT_CYCLE_CAP) -> "FlowState":
-        p = systole_profile(g, cap=cycle_cap)
-        return FlowState(
-            graph=g, systoles=p.systoles, support=p.support, sigma=p.girth,
-            u=Fraction(1), stage_sigma=p.girth, stage_s=p.support.total_length,
-        )
+    def initial(profile: SystoleProfile) -> "FlowState":
+        return FlowState(profile=profile, u=Fraction(1), stage_sigma=profile.girth,
+                         stage_s=profile.support.total_length)
 
     def check(self) -> None:
+        g, sigma = self.profile.graph, self.profile.girth
         if not (1 <= self.u and self.u * self.stage_s <= 1
-                and self.sigma == self.u * self.stage_sigma and self.graph.volume == 1
-                and all(cycle_length(self.graph, c) == self.sigma for c in self.systoles)):
+                and sigma == self.u * self.stage_sigma and g.volume == 1
+                and all(cycle_length(g, c) == sigma for c in self.profile.systoles)):
             raise InvariantViolation(f"flow state at u = {self.u} is off its stage line")
 
     @property
     def done(self) -> bool:
-        return self.support.covers(self.graph)
+        return self.profile.support.covers(self.profile.graph)
 
 
 def _leg_lengths(g: MetricGraph, support_ids: frozenset[int], s: Fraction,
@@ -101,10 +97,8 @@ class Event:
     ``new_cycles`` are written on the pre-event graph.  When a tie lands
     exactly at the end of the stage, the event is classified as new-systoles
     but carries the contraction of the collapsed forest as well; the next
-    stage then starts from the contracted snapshot.  ``_mins`` are all the
-    minimum cycles at the event, on the pre-event graph: for a same-stage
-    event exactly the systoles of ``graph_after``, so applying it enumerates
-    nothing again.
+    stage then starts from the contracted snapshot.  ``after`` is the profile
+    of the post-event graph, so applying the event enumerates nothing again.
     """
 
     kind: str
@@ -113,9 +107,7 @@ class Event:
     t_approx: float
     new_cycles: tuple[Cycle, ...]
     contracted_edge_ids: tuple[int, ...]
-    graph_after: MetricGraph
-    sigma_after: Fraction
-    _mins: tuple[Cycle, ...] = field(repr=False, compare=False)
+    after: SystoleProfile
 
 
 def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> MetricGraph:
@@ -128,8 +120,8 @@ def _forest_or_die(g: MetricGraph, edge_ids: frozenset[int]) -> MetricGraph:
 def _contracted_snapshot(state: FlowState, mu: Fraction) -> tuple[MetricGraph, tuple[int, ...]]:
     """Contract the collapsed non-systole forest; surviving edges carry their
     lengths at the event parameter."""
-    g = state.graph
-    t_ids = frozenset(e.id for e in g.edges if e.id not in state.support.edge_ids)
+    g = state.profile.graph
+    t_ids = frozenset(e.id for e in g.edges if e.id not in state.profile.support.edge_ids)
     contracted = _forest_or_die(g, t_ids)
     scaled = contracted.with_lengths({eid: g.lengths[eid] * mu for eid in contracted.lengths})
     if scaled.volume != 1:
@@ -161,13 +153,12 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
     Every packed weight is positive (an edge of length 0 at the stage end has
     Q > 0).  The minimum cycles are enumerated only at the event.
     """
-    g = state.graph
     if state.done:
         raise FlowStateError("systoles already cover the graph")
-    support_ids = state.support.edge_ids
-    s = state.support.total_length
-    sigma = state.sigma
-    systole_set = set(state.systoles)
+    g, sigma = state.profile.graph, state.profile.girth
+    support_ids = state.profile.support.edge_ids
+    s = state.profile.support.total_length
+    systole_set = set(state.profile.systoles)
     mu_end = Fraction(1) / s
     mu = mu_end
     # w_e(mu) is l_e·mu on the support and l_e·(1 - mu·s)/(1 - s) off it.  With
@@ -204,53 +195,50 @@ def next_event(state: FlowState, cycle_cap: int = DEFAULT_CYCLE_CAP) -> Event:
         extras = tuple(c for c in mins if c not in systole_set)
         if mu == mu_end:
             # the collapsed forest is contracted in this event, also when
-            # new cycles tie exactly at the stage end
-            graph_after, contracted = _contracted_snapshot(state, mu)
+            # new cycles tie exactly at the stage end; the next stage starts
+            # from the systoles of the contracted graph
+            contracted_graph, contracted = _contracted_snapshot(state, mu)
+            after = systole_profile(contracted_graph, cap=cycle_cap)
         elif extras:
-            graph_after, contracted = g.with_lengths(weights), ()
+            # the same stage continues: the minimum cycles are the systoles
+            # of the graph at mu, on more edges
+            g2, contracted = g.with_lengths(weights), ()
+            after = SystoleProfile(g2, girth, mins, support_of(g2, mins))
         else:
             raise InvariantViolation(
                 "gap vanished strictly inside the leg with no new cycle")
+        if after.girth != target:
+            raise InvariantViolation(f"systole length {after.girth} after the event, "
+                                     f"{target} predicted")
         u_star = state.u * mu
         return Event(
             kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
             u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
-            contracted_edge_ids=contracted, graph_after=graph_after, sigma_after=target,
-            _mins=mins,
+            contracted_edge_ids=contracted, after=after,
         )
     raise DegenerateStage("event search failed to converge")
 
 
-def apply_event(state: FlowState, event: Event,
-                cycle_cap: int = DEFAULT_CYCLE_CAP) -> FlowState:
-    g2 = event.graph_after
+def apply_event(state: FlowState, event: Event) -> FlowState:
+    before, after = state.profile, event.after
     if event.contracted_edge_ids:
-        new_state = replace(FlowState.initial(g2, cycle_cap), stage_index=state.stage_index + 1)
+        new_state = replace(FlowState.initial(after), stage_index=state.stage_index + 1)
     else:
-        # same stage continues: the event's minimum cycles are the systoles
-        # of graph_after, on more edges
-        systoles = event._mins
-        new_state = replace(state, graph=g2, systoles=systoles,
-                            support=support_of(g2, systoles),
-                            sigma=cycle_length(g2, systoles[0]), u=event.u_star)
-        if not (set(state.systoles) <= set(systoles)
-                and state.support.edge_ids < new_state.support.edge_ids):
+        new_state = replace(state, profile=after, u=event.u_star)
+        if not (set(before.systoles) <= set(after.systoles)
+                and before.support.edge_ids < after.support.edge_ids):
             raise InvariantViolation("the new systoles are not those the event found")
-    if new_state.sigma != event.sigma_after:
-        raise InvariantViolation(f"systole length {new_state.sigma} after the event, "
-                                 f"{event.sigma_after} predicted")
     new_state.check()
     return new_state
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    initial: MetricGraph
+    """The profiles where the flow starts and ends, and the events between."""
+
+    initial: SystoleProfile
     events: tuple[Event, ...]
-    final_graph: MetricGraph
-    final_systoles: tuple[Cycle, ...]
-    final_sigma: Fraction
-    final_support: SystoleSupport
+    final: SystoleProfile
 
     @property
     def num_stages(self) -> int:
@@ -272,15 +260,15 @@ def retract_to_spine(g: MetricGraph, *, max_events_per_stage: Optional[int] = No
     event_cap = max_events_per_stage if max_events_per_stage is not None else 10 * g.num_edges
     contraction_cap = max_contractions if max_contractions is not None else 10 * g.num_vertices
 
-    state = FlowState.initial(g, cycle_cap=cycle_cap)
+    state = FlowState.initial(systole_profile(g, cap=cycle_cap))
     state.check()
+    initial = state.profile
     events: list[Event] = []
     stage_events = 0
     contractions = 0
 
     def partial() -> Trajectory:
-        return Trajectory(g, tuple(events), state.graph, state.systoles,
-                          state.sigma, state.support)
+        return Trajectory(initial, tuple(events), state.profile)
 
     while not state.done:
         event = next_event(state, cycle_cap=cycle_cap)
@@ -295,9 +283,10 @@ def retract_to_spine(g: MetricGraph, *, max_events_per_stage: Optional[int] = No
                 raise CapExceeded(
                     f"more than {contraction_cap} contractions", partial())
             stage_events = 0
-        state = apply_event(state, event, cycle_cap=cycle_cap)
+        state = apply_event(state, event)
         events.append(event)
 
-    if rank(state.graph) != rank(g):
-        raise InvariantViolation(f"the flow changed the rank from {rank(g)} to {rank(state.graph)}")
+    final_rank = rank(state.profile.graph)
+    if final_rank != rank(g):
+        raise InvariantViolation(f"the flow changed the rank from {rank(g)} to {final_rank}")
     return partial()

@@ -236,9 +236,8 @@ class Cycle:
         return Cycle(steps).canonical()
 
 
-def cycle_length(g: MetricGraph, c: Cycle, weights: Optional[Mapping[int, Fraction]] = None) -> Fraction:
-    w = weights if weights is not None else g.lengths
-    return sum((w[eid] for eid, _ in c.steps), Fraction(0))
+def cycle_length(g: MetricGraph, c: Cycle) -> Fraction:
+    return sum((g.lengths[eid] for eid, _ in c.steps), Fraction(0))
 
 
 def cycle_vertices(g: MetricGraph, c: Cycle) -> frozenset[int]:

@@ -9,10 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .errors import ForeignCycle, InvariantViolation
 from .graphs import Cycle, MetricGraph, rank
+
+if TYPE_CHECKING:
+    from .fill import SystoleProfile
 
 
 @dataclass(frozen=True)
@@ -212,15 +215,14 @@ def lattice_verdict(classes: Sequence[Sequence[int]], ambient_rank: int) -> Latt
     return LatticeVerdict(tuple(map(tuple, classes)), ambient_rank, r, snf.divisors, index)
 
 
-def systole_lattice(g: MetricGraph, systoles: Sequence[Cycle]) -> LatticeVerdict:
-    """Verdict on the lattice spanned by the classes of the given systoles,
-    which must be all of them."""
+def systole_lattice(profile: SystoleProfile) -> LatticeVerdict:
+    """Verdict on the lattice spanned by the classes of the profile's systoles."""
+    g = profile.graph
     basis = build_basis(g)
-    classes = [cycle_class(g, basis, c) for c in systoles]
+    classes = [cycle_class(g, basis, c) for c in profile.systoles]
     return lattice_verdict(classes, rank(g))
 
 
-def is_well_rounded(g: MetricGraph, systoles: Sequence[Cycle]) -> tuple[bool, LatticeVerdict]:
+def is_well_rounded(profile: SystoleProfile) -> bool:
     """True iff the systole classes span a finite-index subgroup of H_1."""
-    verdict = systole_lattice(g, systoles)
-    return verdict.rank == rank(g), verdict
+    return profile.lattice.finite_index

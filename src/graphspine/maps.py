@@ -21,7 +21,8 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidGraph, InvalidMap, InvariantViolation, MalformedLine, NotCubic
 from .graphs import Cycle, Edge, MetricGraph, parse_graph_file, rank, serialize_graph
-from .cycles import DEFAULT_CYCLE_CAP, minimum_cycles
+from .cycles import DEFAULT_CYCLE_CAP
+from .fill import SystoleProfile, systole_profile
 
 Dart = tuple[int, int]
 
@@ -347,12 +348,14 @@ def flag_transitivity(m: CombinatorialMap) -> FlagTransitivityReport:
 
 @dataclass(frozen=True)
 class FaceSystoleReport:
-    girth: Fraction
+    """The faces of a map against ``profile``, the systoles of its skeleton
+    with every edge of length 1."""
+
+    profile: SystoleProfile
     p: int
     equal: bool
     all_faces_embedded: bool
     face_count: int
-    min_cycle_count: int
     extra_min_cycles: tuple[Cycle, ...]
 
 
@@ -365,16 +368,16 @@ def systoles_equal_faces(m: CombinatorialMap, cap: int = DEFAULT_CYCLE_CAP) -> F
     t = map_type_check(m)
     if not t.uniform:
         raise InvalidMap("face/systole comparison needs a uniform map")
-    skeleton = m.skeleton_unit()
-    girth, mins = minimum_cycles(skeleton, cap=cap)
+    profile = systole_profile(m.skeleton_unit(), cap=cap)
+    mins = profile.systoles
     faces = m.faces
     face_cycles = {f.cycle for f in faces.faces if f.embedded}
     all_embedded = all(f.embedded for f in faces.faces)
-    equal = girth == t.p and all_embedded and set(mins) == face_cycles
+    equal = profile.girth == t.p and all_embedded and set(mins) == face_cycles
     extras = tuple(sorted((c for c in mins if c not in face_cycles), key=Cycle.sort_key))
     return FaceSystoleReport(
-        girth=girth, p=t.p, equal=equal, all_faces_embedded=all_embedded,
-        face_count=faces.count, min_cycle_count=len(mins), extra_min_cycles=extras,
+        profile=profile, p=t.p, equal=equal, all_faces_embedded=all_embedded,
+        face_count=faces.count, extra_min_cycles=extras,
     )
 
 

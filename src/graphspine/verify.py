@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .graphs import Edge, MetricGraph, are_isomorphic, normalize_volume
-from .cycles import minimum_cycles
 from .homology import is_well_rounded
 from .fill import classify_membership, geometrically_fills, systole_profile
 from .flow import NEW_SYSTOLES, STAGE_COMPLETE, retract_to_spine
@@ -78,9 +77,8 @@ def check_dumbbell_membership(data: Bundled) -> CheckResult:
 
 
 def check_dumbbell_equal_retraction(data: Bundled) -> CheckResult:
-    g = data.load("dumbbell_equal").graph
-    sigma0 = minimum_cycles(g)[0]
-    traj = retract_to_spine(g)
+    traj = retract_to_spine(data.load("dumbbell_equal").graph)
+    sigma0, final = traj.initial.girth, traj.final
     rose = MetricGraph(1, tuple(
         Edge(i, 0, 0, Fraction(1, 2)) for i in range(2)), "rose")
     ok = (
@@ -88,13 +86,13 @@ def check_dumbbell_equal_retraction(data: Bundled) -> CheckResult:
         and traj.events[0].kind == STAGE_COMPLETE
         and traj.events[0].u_star == Fraction(3, 2)
         and sigma0 == Fraction(1, 3)
-        and traj.final_sigma == Fraction(1, 2)
-        and are_isomorphic(traj.final_graph, rose) is not None
+        and final.girth == Fraction(1, 2)
+        and are_isomorphic(final.graph, rose) is not None
     )
     return _check(
         "dumbbell-equal-retraction", ok,
         f"one stage-complete event at u = {traj.events[0].u_star}, systole "
-        f"{sigma0} -> {traj.final_sigma}, final graph rose(1/2,1/2)")
+        f"{sigma0} -> {final.girth}, final graph rose(1/2,1/2)")
 
 
 def check_dumbbell_unequal_retraction(data: Bundled) -> CheckResult:
@@ -108,7 +106,7 @@ def check_dumbbell_unequal_retraction(data: Bundled) -> CheckResult:
         and kinds == [NEW_SYSTOLES, STAGE_COMPLETE]
         and traj.events[0].u_star == Fraction(10, 7)
         and len(traj.events[0].new_cycles) == 1
-        and are_isomorphic(traj.final_graph, rose) is not None
+        and are_isomorphic(traj.final.graph, rose) is not None
     )
     return _check(
         "dumbbell-unequal-retraction", ok,
@@ -125,7 +123,7 @@ def check_theta_unbalanced_retraction(data: Bundled) -> CheckResult:
         len(traj.events) == 1
         and traj.events[0].kind == NEW_SYSTOLES
         and traj.events[0].u_star == Fraction(4, 3)
-        and are_isomorphic(traj.final_graph, equilateral) is not None
+        and are_isomorphic(traj.final.graph, equilateral) is not None
     )
     return _check(
         "theta-unbalanced-retraction", ok,
@@ -136,13 +134,12 @@ def check_theta_unbalanced_retraction(data: Bundled) -> CheckResult:
 def check_k4_analysis(data: Bundled) -> CheckResult:
     g = normalize_volume(data.load("tetrahedron").graph)
     profile = systole_profile(g)
-    girth, systoles = profile.girth, profile.systoles
-    well, verdict = is_well_rounded(g, systoles)
+    girth, systoles, verdict = profile.girth, profile.systoles, profile.lattice
     rec = vcd_witness(profile)
     ok = (
         girth == Fraction(1, 2)
         and len(systoles) == 4
-        and well and verdict.index == 1
+        and is_well_rounded(profile) and verdict.index == 1
         and geometrically_fills(profile)
         and rec.deformation.E == 6 and rec.deformation.F == 4
         and rec.dim == 2 and rec.vcd == 3 and not rec.exceeds
@@ -196,9 +193,10 @@ def check_face_systole_agreement(data: Bundled) -> CheckResult:
     for name, want in expected.items():
         rep = data.faces(name)
         ok = ok and rep.equal == want
+        min_cycle_count = len(rep.profile.systoles)
         if not want:
-            ok = ok and rep.min_cycle_count > rep.face_count
-        bits.append(f"{name}: {rep.min_cycle_count} min cycles vs {rep.face_count} faces")
+            ok = ok and min_cycle_count > rep.face_count
+        bits.append(f"{name}: {min_cycle_count} min cycles vs {rep.face_count} faces")
     return _check("face-systole-agreement", ok, "; ".join(bits))
 
 
@@ -208,8 +206,8 @@ def check_klein_counting(data: Bundled) -> CheckResult:
     ok = (rel.V, rel.E, rel.F, rel.n, rel.p) == (56, 84, 24, 29, 7) and rel.all_pass
     return _check(
         "klein-counting", ok,
-        f"V=56 E=84 F=24 n=29 p=7; unit girth {rep.girth} with "
-        f"{rep.min_cycle_count} minimum cycles")
+        f"V=56 E=84 F=24 n=29 p=7; unit girth {rep.profile.girth} with "
+        f"{len(rep.profile.systoles)} minimum cycles")
 
 
 def check_klein_chain(data: Bundled) -> CheckResult:
@@ -220,13 +218,13 @@ def check_klein_chain(data: Bundled) -> CheckResult:
             "klein-conditional-chain", CONDITIONAL_SKIP,
             f"{len(rep.extra_min_cycles)} non-face minimum cycles ({extras} ...); "
             f"the downstream chain does not apply to this quotient")
-    g = normalize_volume(data.load("klein_73").skeleton_unit())
-    profile = systole_profile(g)
-    well, verdict = is_well_rounded(g, profile.systoles)
+    # the unit skeleton's profile: scaling every length alike changes neither
+    # the systoles nor their lattice, fill or deformation dimension
+    profile, verdict = rep.profile, rep.profile.lattice
     fills = geometrically_fills(profile)
     rec = vcd_witness(profile)
     ok = (
-        not well
+        not is_well_rounded(profile)
         and verdict.rank <= 23
         and verdict.index is None
         and fills

@@ -18,6 +18,7 @@ from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from graphspine.cycles import minimum_cycles
 from graphspine.errors import DegenerateStage, InvariantViolation
+from graphspine.fill import systole_profile
 from graphspine.flow import (
     NEW_SYSTOLES,
     STAGE_COMPLETE,
@@ -165,10 +166,9 @@ def oracle_lattice(classes, ambient_rank: int):
 def oracle_next_event(state: FlowState) -> Event:
     """The flow's next event by enumerating every minimum cycle on each Newton
     step and stepping to the least root among them."""
-    g = state.graph
-    support_ids = state.support.edge_ids
-    s = state.support.total_length
-    sigma = state.sigma
+    g, sigma = state.profile.graph, state.profile.girth
+    support_ids = state.profile.support.edge_ids
+    s = state.profile.support.total_length
     mu_end = 1 / s
     mu = mu_end
     while True:
@@ -178,7 +178,7 @@ def oracle_next_event(state: FlowState) -> Event:
         if girth > target:
             raise InvariantViolation(f"girth {girth} exceeds the systole length {target}")
         if girth == target:
-            extras = tuple(c for c in mins if c not in set(state.systoles))
+            extras = tuple(c for c in mins if c not in set(state.profile.systoles))
             if mu == mu_end:
                 graph_after, contracted = _contracted_snapshot(state, mu)
             elif extras:
@@ -189,8 +189,7 @@ def oracle_next_event(state: FlowState) -> Event:
             return Event(
                 kind=NEW_SYSTOLES if extras else STAGE_COMPLETE, stage=state.stage_index,
                 u_star=u_star, t_approx=math.log(float(u_star)), new_cycles=extras,
-                contracted_edge_ids=contracted, graph_after=graph_after,
-                sigma_after=target, _mins=mins,
+                contracted_edge_ids=contracted, after=systole_profile(graph_after),
             )
         roots = []
         for c in mins:

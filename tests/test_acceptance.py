@@ -44,9 +44,8 @@ def test_acceptance_01_equilateral_theta():
     girth, systoles = minimum_cycles(g)
     assert girth == Fraction(2, 3)
     assert len(systoles) == 3
-    well, verdict = is_well_rounded(g, systoles)
-    assert well and verdict.index == 1
     p = systole_profile(g)
+    assert is_well_rounded(p) and p.lattice.index == 1
     m = classify_membership(p)
     assert (m.in_W, m.in_V, m.in_Vprime) == (True, True, True)
     rec = local_deformation_dimension(p)
@@ -67,10 +66,10 @@ def test_acceptance_02_equal_dumbbell():
     assert len(traj.events) == 1
     assert traj.events[0].kind == STAGE_COMPLETE
     assert traj.events[0].u_star == Fraction(3, 2)
-    final = traj.final_graph
+    final = traj.final.graph
     assert final.num_vertices == 1 and final.num_edges == 2
     assert sorted(e.length for e in final.edges) == [Fraction(1, 2)] * 2
-    assert (sigma0, traj.final_sigma) == (Fraction(1, 3), Fraction(1, 2))
+    assert (sigma0, traj.final.girth) == (Fraction(1, 3), Fraction(1, 2))
     elapsed = time.monotonic() - start
     assert elapsed < 1
     report(2, f"equal dumbbell: (y,y,n), stage-complete at u=3/2, "
@@ -85,7 +84,7 @@ def test_acceptance_03_unequal_dumbbell():
     first = traj.events[0]
     assert first.u_star == Fraction(10, 7)
     assert [c.edge_ids for c in first.new_cycles] == [frozenset({1})]
-    final = traj.final_graph
+    final = traj.final.graph
     assert final.num_vertices == 1
     assert sorted(e.length for e in final.edges) == [Fraction(1, 2)] * 2
     elapsed = time.monotonic() - start
@@ -101,8 +100,8 @@ def test_acceptance_04_unbalanced_theta():
     assert len(traj.events) == 1
     assert traj.events[0].kind == NEW_SYSTOLES
     assert traj.events[0].u_star == Fraction(4, 3)
-    assert are_isomorphic(traj.final_graph, make_theta()) is not None
-    assert geometrically_fills(systole_profile(traj.final_graph))
+    assert are_isomorphic(traj.final.graph, make_theta()) is not None
+    assert geometrically_fills(systole_profile(traj.final.graph))
     elapsed = time.monotonic() - start
     assert elapsed < 1
     report(4, f"theta(1/2,1/4,1/4): one event at u*=4/3 onto the equilateral "
@@ -115,9 +114,8 @@ def test_acceptance_05_k4():
     girth, systoles = minimum_cycles(g)
     assert girth == Fraction(1, 2)
     assert len(systoles) == 4 and all(len(c) == 3 for c in systoles)
-    well, verdict = is_well_rounded(g, systoles)
-    assert well and verdict.index == 1
     p = systole_profile(g)
+    assert is_well_rounded(p) and p.lattice.index == 1
     assert geometrically_fills(p)
     w = vcd_witness(p)
     assert (w.deformation.E, w.deformation.F, w.dim, w.vcd, w.exceeds) == (6, 4, 2, 3, False)
@@ -136,9 +134,9 @@ def test_acceptance_06_map_suite():
     assert systoles_equal_faces(bundled_dataset("tetrahedron")).equal
     assert systoles_equal_faces(bundled_dataset("cube")).equal
     heawood = systoles_equal_faces(bundled_dataset("heawood_torus"))
-    assert not heawood.equal and heawood.min_cycle_count > heawood.face_count
+    assert not heawood.equal and len(heawood.profile.systoles) > heawood.face_count
     petersen = systoles_equal_faces(bundled_dataset("petersen_projective"))
-    assert not petersen.equal and petersen.min_cycle_count > petersen.face_count
+    assert not petersen.equal and len(petersen.profile.systoles) > petersen.face_count
     cubic_uniform = []
     from graphspine.maps import CombinatorialMap, map_type_check
     from graphspine.datasets import DATASET_NAMES
@@ -153,8 +151,8 @@ def test_acceptance_06_map_suite():
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(6, f"maps: tetrahedron 24, cube 48 flag-transitive, faces=systoles; "
-              f"heawood {heawood.min_cycle_count}>7, petersen "
-              f"{petersen.min_cycle_count}>6 fail; euler identities on "
+              f"heawood {len(heawood.profile.systoles)}>7, petersen "
+              f"{len(petersen.profile.systoles)}>6 fail; euler identities on "
               f"{len(cubic_uniform)} cubic maps [{elapsed:.3f}s]")
 
 
@@ -165,11 +163,11 @@ def test_acceptance_07_klein_chain():
     assert (rel.V, rel.E, rel.F, rel.n, rel.p) == (56, 84, 24, 29, 7)
     assert rel.all_pass
     rep = systoles_equal_faces(m)
-    assert rep.girth == 7  # computed and reported either way
+    assert rep.profile.girth == 7  # computed and reported either way
     if rep.equal:
         p = systole_profile(normalize_volume(m.skeleton_unit()))
-        well, verdict = is_well_rounded(p.graph, p.systoles)
-        assert not well
+        verdict = p.lattice
+        assert not is_well_rounded(p)
         assert verdict.rank <= 23 < 29
         assert verdict.index is None
         assert geometrically_fills(p)
@@ -183,7 +181,7 @@ def test_acceptance_07_klein_chain():
                    f"minimum cycles; implication chain not applicable")
     elapsed = time.monotonic() - start
     assert elapsed < 600
-    report(7, f"klein {{7,3}}: V=56 E=84 F=24 n=29, girth {rep.girth}; "
+    report(7, f"klein {{7,3}}: V=56 E=84 F=24 n=29, girth {rep.profile.girth}; "
               f"{outcome} [{elapsed:.3f}s]")
 
 
@@ -244,7 +242,7 @@ def test_acceptance_10_equivariance():
         ta, tb = retract_to_spine(g), retract_to_spine(mangled)
         assert [e.u_star for e in ta.events] == [e.u_star for e in tb.events]
         assert [e.kind for e in ta.events] == [e.kind for e in tb.events]
-        assert are_isomorphic(ta.final_graph, tb.final_graph) is not None
+        assert are_isomorphic(ta.final.graph, tb.final.graph) is not None
     elapsed = time.monotonic() - start
     assert elapsed < 60
     report(10, f"{pairs} relabeled pairs: identical rationals in every report, "

@@ -157,8 +157,8 @@ def test_commands_enumerate_the_systoles_once(capsys, monkeypatch):
     # compared with its minimum cycles once for both Klein checks), plus the
     # retraction flow's own: one per stage start and one per event; each
     # bundled map is parsed and traced once per run, and again by the next run
-    assert run("verify-paper") == (20, 4, 7, 6)
-    assert run("verify-paper") == (20, 4, 7, 6)
+    assert run("verify-paper") == (18, 4, 7, 6)
+    assert run("verify-paper") == (18, 4, 7, 6)
 
 
 def test_domain_error_exit_code(capsys, tmp_path):

@@ -119,8 +119,8 @@ def test_profile_matches_oracle_and_every_consumer(g):
     basis = build_basis(g)
     want = oracle_lattice([cycle_class(g, basis, c) for c in systoles], rank(g))
     assert (p.lattice.rank, p.lattice.divisors, p.lattice.index) == want
-    assert p.lattice == systole_lattice(g, p.systoles)
-    assert is_well_rounded(g, p.systoles) == (p.lattice.rank == rank(g), p.lattice)
+    assert p.lattice == systole_lattice(p)
+    assert is_well_rounded(p) == (p.lattice.rank == rank(g))
     # every consumer reads the graph from the profile
     covers = edge_ids == {e.id for e in g.edges}
     assert systole_support(p) == p.support

@@ -35,28 +35,29 @@ from .strategies import outer_graphs, random_cubic_graph, random_outer_graph, ra
 
 def _lengths_at(state, mu):
     """Edge lengths at ``mu`` along the state's stage line."""
-    return _leg_lengths(state.graph, state.support.edge_ids, state.support.total_length, mu)
+    support = state.profile.support
+    return _leg_lengths(state.profile.graph, support.edge_ids, support.total_length, mu)
 
 
 def test_flow_lengths_identity_at_one(dumbbell_eq):
-    state = FlowState.initial(dumbbell_eq)
+    state = FlowState.initial(systole_profile(dumbbell_eq))
     assert _lengths_at(state, Fraction(1)) == dumbbell_eq.lengths
 
 
 def test_flow_lengths_dumbbell_collapse(dumbbell_eq):
-    state = FlowState.initial(dumbbell_eq)
+    state = FlowState.initial(systole_profile(dumbbell_eq))
     lengths = _lengths_at(state, Fraction(3, 2))
     assert lengths == {0: Fraction(1, 2), 1: Fraction(1, 2), 2: Fraction(0)}
 
 
 def test_flow_lengths_theta(theta_long):
-    state = FlowState.initial(theta_long)
+    state = FlowState.initial(systole_profile(theta_long))
     lengths = _lengths_at(state, Fraction(4, 3))
     assert lengths == {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
 
 
 def test_next_event_dumbbell_unequal(dumbbell_uneq):
-    state = FlowState.initial(dumbbell_uneq)
+    state = FlowState.initial(systole_profile(dumbbell_uneq))
     event = next_event(state)
     assert event.kind == NEW_SYSTOLES
     assert event.u_star == Fraction(10, 7)
@@ -65,14 +66,14 @@ def test_next_event_dumbbell_unequal(dumbbell_uneq):
 
 
 def test_next_event_dumbbell_equal(dumbbell_eq):
-    event = next_event(FlowState.initial(dumbbell_eq))
+    event = next_event(FlowState.initial(systole_profile(dumbbell_eq)))
     assert event.kind == STAGE_COMPLETE
     assert event.u_star == Fraction(3, 2)
     assert event.contracted_edge_ids == (2,)
 
 
 def test_next_event_theta_long(theta_long):
-    event = next_event(FlowState.initial(theta_long))
+    event = next_event(FlowState.initial(systole_profile(theta_long)))
     assert event.kind == NEW_SYSTOLES
     assert event.u_star == Fraction(4, 3)
     assert len(event.new_cycles) == 2
@@ -82,17 +83,17 @@ def test_next_event_theta_long(theta_long):
 def test_retract_theta_long(theta_long):
     traj = retract_to_spine(theta_long)
     assert len(traj.events) == 1
-    assert traj.final_sigma == Fraction(2, 3)
-    assert are_isomorphic(traj.final_graph, make_theta()) is not None
+    assert traj.final.girth == Fraction(2, 3)
+    assert are_isomorphic(traj.final.graph, make_theta()) is not None
 
 
 def test_retract_dumbbell_equal(dumbbell_eq):
     traj = retract_to_spine(dumbbell_eq)
     assert [e.kind for e in traj.events] == [STAGE_COMPLETE]
     assert traj.events[0].u_star == Fraction(3, 2)
-    assert traj.final_sigma == Fraction(1, 2)
-    assert traj.final_graph.num_vertices == 1
-    assert sorted(e.length for e in traj.final_graph.edges) == [Fraction(1, 2)] * 2
+    assert traj.final.girth == Fraction(1, 2)
+    assert traj.final.graph.num_vertices == 1
+    assert sorted(e.length for e in traj.final.graph.edges) == [Fraction(1, 2)] * 2
 
 
 def test_retract_dumbbell_unequal(dumbbell_uneq):
@@ -100,13 +101,13 @@ def test_retract_dumbbell_unequal(dumbbell_uneq):
     assert [e.kind for e in traj.events] == [NEW_SYSTOLES, STAGE_COMPLETE]
     assert traj.events[0].u_star == Fraction(10, 7)
     assert traj.events[1].u_star == Fraction(2)
-    assert sorted(e.length for e in traj.final_graph.edges) == [Fraction(1, 2)] * 2
+    assert sorted(e.length for e in traj.final.graph.edges) == [Fraction(1, 2)] * 2
 
 
 def test_retract_already_covered_is_empty(theta):
     traj = retract_to_spine(theta)
     assert traj.events == ()
-    assert traj.final_graph == theta
+    assert traj.final.graph == theta
 
 
 def test_retract_requires_unit_volume():
@@ -141,9 +142,9 @@ def test_tie_at_stage_end_merges_contraction():
     assert event.u_star == Fraction(3, 2)
     assert len(event.new_cycles) == 4
     assert event.contracted_edge_ids == (4, 5)
-    assert traj.final_graph.num_vertices == 2
-    assert traj.final_graph.num_edges == 4
-    assert traj.final_sigma == Fraction(1, 2)
+    assert traj.final.graph.num_vertices == 2
+    assert traj.final.graph.num_edges == 4
+    assert traj.final.girth == Fraction(1, 2)
 
 
 def test_cap_exceeded_carries_partial_trajectory(dumbbell_uneq):
@@ -162,25 +163,27 @@ def test_retraction_commutes_with_relabeling():
         t2 = retract_to_spine(mangled)
         assert [e.u_star for e in t1.events] == [e.u_star for e in t2.events]
         assert [e.kind for e in t1.events] == [e.kind for e in t2.events]
-        assert are_isomorphic(t1.final_graph, t2.final_graph) is not None
+        assert are_isomorphic(t1.final.graph, t2.final.graph) is not None
 
 
 def _check_trajectory_invariants(g, traj):
-    assert traj.initial == g
-    sigma_prev, _ = minimum_cycles(g)
-    betti_prev = oracle_support_betti(g, systole_support(systole_profile(g)).edge_ids)
+    initial = systole_profile(g)
+    assert traj.initial == initial
+    sigma_prev = initial.girth
+    betti_prev = oracle_support_betti(g, systole_support(initial).edge_ids)
     stage_prev = 1
     stage_edges = g.num_edges
     u_prev = Fraction(0)
     stage_event_count = 0
     contractions = 0
     for event in traj.events:
-        snapshot = event.graph_after
+        snapshot = event.after.graph
         assert snapshot.volume == 1
-        sigma, mins = minimum_cycles(snapshot)
-        assert sigma == event.sigma_after
+        profile = systole_profile(snapshot)
+        assert event.after == profile
+        sigma = profile.girth
         assert sigma >= sigma_prev
-        betti = oracle_support_betti(snapshot, systole_support(systole_profile(snapshot)).edge_ids)
+        betti = oracle_support_betti(snapshot, systole_support(profile).edge_ids)
         assert betti >= betti_prev
         assert event.stage == stage_prev
         assert event.u_star > u_prev
@@ -197,8 +200,10 @@ def _check_trajectory_invariants(g, traj):
             u_prev = event.u_star
         sigma_prev, betti_prev = sigma, betti
     assert contractions <= max(g.num_vertices - 1, 0) or g.num_vertices == 1
-    assert geometrically_fills(systole_profile(traj.final_graph))
-    assert rank(traj.final_graph) == rank(g)
+    final = systole_profile(traj.final.graph)
+    assert traj.final == final
+    assert geometrically_fills(final)
+    assert rank(traj.final.graph) == rank(g)
 
 
 @given(outer_graphs(rank_lo=2, rank_hi=4))
@@ -211,7 +216,7 @@ def test_trajectory_invariants_random(g):
 def test_next_event_refuses_covered_state(theta):
     from graphspine.errors import FlowStateError
 
-    state = FlowState.initial(theta)
+    state = FlowState.initial(systole_profile(theta))
     with pytest.raises(FlowStateError):
         next_event(state)
 
@@ -252,8 +257,8 @@ def _fields(event: Event) -> list:
 
 def _assert_events_match_oracle(g: MetricGraph) -> None:
     """Along the whole flow line of g, every event equals the enumerate-all
-    oracle's, field by field (the private minimum cycles included)."""
-    state = FlowState.initial(g)
+    oracle's, field by field (the post-event profile included)."""
+    state = FlowState.initial(systole_profile(g))
     while not state.done:
         event = next_event(state)
         assert _fields(event) == _fields(oracle_next_event(state))
@@ -284,13 +289,13 @@ def test_stage_end_tie_sets_stay_small():
     capped = retract_to_spine(g, cycle_cap=1000)
     full = retract_to_spine(g)
     assert [_fields(e) for e in capped.events] == [_fields(e) for e in full.events]
-    assert capped.events and geometrically_fills(systole_profile(capped.final_graph))
+    assert capped.events and geometrically_fills(systole_profile(capped.final.graph))
     sigma, stage_edges, stage_events, contractions = minimum_cycles(g)[0], g.num_edges, 0, 0
     for event in capped.events:
-        after = event.graph_after
+        after = event.after.graph
         assert after.volume == 1 and rank(after) == rank(g)
-        assert event.sigma_after >= sigma
-        sigma = event.sigma_after
+        assert event.after.girth >= sigma
+        sigma = event.after.girth
         if event.kind == NEW_SYSTOLES:
             stage_events += 1
             assert stage_events <= stage_edges

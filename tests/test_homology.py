@@ -6,8 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspine.cycles import all_systoles
 from graphspine.errors import ForeignCycle
+from graphspine.fill import systole_profile
 from graphspine.graphs import Cycle, Edge, MetricGraph, rank
 from graphspine.homology import (
     build_basis,
@@ -63,28 +63,28 @@ def test_foreign_cycle(theta, dumbbell_eq):
 
 
 def test_theta_lattice(theta):
-    v = systole_lattice(theta, all_systoles(theta))
+    v = systole_lattice(systole_profile(theta))
     assert (v.rank, v.divisors, v.index) == (2, (1, 1), 1)
 
 
 def test_dumbbell_lattice(dumbbell_eq, dumbbell_uneq):
-    v = systole_lattice(dumbbell_eq, all_systoles(dumbbell_eq))
+    v = systole_lattice(systole_profile(dumbbell_eq))
     assert (v.rank, v.index) == (2, 1)
-    v2 = systole_lattice(dumbbell_uneq, all_systoles(dumbbell_uneq))
+    v2 = systole_lattice(systole_profile(dumbbell_uneq))
     assert v2.rank == 1
     assert v2.index is None
 
 
 def test_well_rounded_examples(theta, dumbbell_uneq, rose2):
-    assert is_well_rounded(theta, all_systoles(theta))[0]
-    assert not is_well_rounded(dumbbell_uneq, all_systoles(dumbbell_uneq))[0]
-    assert is_well_rounded(rose2, all_systoles(rose2))[0]
+    assert is_well_rounded(systole_profile(theta))
+    assert not is_well_rounded(systole_profile(dumbbell_uneq))
+    assert is_well_rounded(systole_profile(rose2))
 
 
 def test_fewer_systoles_than_rank_never_well_rounded(dumbbell_uneq):
-    well, verdict = is_well_rounded(dumbbell_uneq, all_systoles(dumbbell_uneq))
-    assert len(verdict.generators) < rank(dumbbell_uneq)
-    assert not well
+    p = systole_profile(dumbbell_uneq)
+    assert len(p.lattice.generators) < rank(dumbbell_uneq)
+    assert not is_well_rounded(p)
 
 
 # -- Smith normal form -------------------------------------------------------
@@ -162,6 +162,6 @@ def test_lattice_invariant_under_relabeling(g):
     from .strategies import random_relabeling
 
     mangled, _, _ = random_relabeling(random.Random(5), g)
-    a = systole_lattice(g, all_systoles(g))
-    b = systole_lattice(mangled, all_systoles(mangled))
+    a = systole_lattice(systole_profile(g))
+    b = systole_lattice(systole_profile(mangled))
     assert (a.rank, a.divisors, a.index) == (b.rank, b.divisors, b.index)

@@ -220,22 +220,22 @@ def test_face_systole_verdicts():
     assert systoles_equal_faces(bundled_dataset("cube")).equal
     heawood = systoles_equal_faces(bundled_dataset("heawood_torus"))
     assert not heawood.equal
-    assert heawood.girth == 6 == heawood.p
-    assert heawood.min_cycle_count == 28 > heawood.face_count == 7
+    assert heawood.profile.girth == 6 == heawood.p
+    assert len(heawood.profile.systoles) == 28 > heawood.face_count == 7
     assert len(heawood.extra_min_cycles) == 21
     petersen = systoles_equal_faces(bundled_dataset("petersen_projective"))
     assert not petersen.equal
-    assert petersen.girth == 5 == petersen.p
-    assert petersen.min_cycle_count == 12 and petersen.face_count == 6
+    assert petersen.profile.girth == 5 == petersen.p
+    assert len(petersen.profile.systoles) == 12 and petersen.face_count == 6
     assert len(petersen.extra_min_cycles) == 6
 
 
 def test_face_systole_klein_reported():
     rep = systoles_equal_faces(bundled_dataset("klein_73"))
-    assert rep.girth == 7 == rep.p
+    assert rep.profile.girth == 7 == rep.p
     assert rep.face_count == 24
     if rep.equal:
-        assert rep.min_cycle_count == 24 and not rep.extra_min_cycles
+        assert len(rep.profile.systoles) == 24 and not rep.extra_min_cycles
     else:
         assert rep.extra_min_cycles
 

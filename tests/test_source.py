@@ -55,9 +55,10 @@ def test_every_export_has_a_user():
 
 def test_systole_consumers_take_the_profile_alone():
     # a consumer of the systoles reads the graph from its profile, so a
-    # profile never meets another graph, and no parameter left at None makes
-    # a consumer enumerate again on its own, out of reach of --cycle-cap
-    mixed, fallback = [], []
+    # profile never meets another graph, no systole tuple travels beside a
+    # graph it may not belong to, and no parameter left at None makes a
+    # consumer enumerate again on its own, out of reach of --cycle-cap
+    mixed, loose, fallback = [], [], []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.FunctionDef):
@@ -67,10 +68,11 @@ def test_systole_consumers_take_the_profile_alone():
             if any(a.annotation is not None and "SystoleProfile" in ast.unparse(a.annotation)
                    for a in args) and len(args) != 1:
                 mixed.append(where)
+            loose += [f"{where}({a.arg})" for a in args if a.arg == "systoles"]
             defaults = dict(zip(reversed(node.args.posonlyargs + node.args.args),
                                 reversed(node.args.defaults)))
             defaults.update(zip(node.args.kwonlyargs, node.args.kw_defaults))
             fallback += [f"{where}({a.arg})" for a, d in defaults.items()
-                         if a.arg in ("profile", "systoles")
+                         if a.arg == "profile"
                          and isinstance(d, ast.Constant) and d.value is None]
-    assert (mixed, fallback) == ([], [])
+    assert (mixed, loose, fallback) == ([], [], [])
