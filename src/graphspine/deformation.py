@@ -75,10 +75,11 @@ def local_deformation_dimension(profile: SystoleProfile) -> DeformationRecord:
         raise InvariantViolation(f"deformation dimension {dim} is below E - F = {lower}")
     # the base lengths themselves are a strictly positive solution of the
     # homogeneous difference system, so a positive direction always exists
-    # at a certified base point; recorded explicitly rather than assumed
+    # at a certified base point; recorded explicitly rather than assumed.
+    # A difference row is mostly zeros, so only its nonzero terms are summed
     base = [g.lengths[e.id] for e in g.edges]
     positive = all(
-        sum(r * x for r, x in zip(row, base)) == 0 for row in diff_rows
+        sum(r * x for r, x in zip(row, base) if r) == 0 for row in diff_rows
     ) and all(x > 0 for x in base)
     return DeformationRecord(
         E=g.num_edges, F=len(profile.systoles), rank_diff=rank_diff, dim=dim,

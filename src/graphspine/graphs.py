@@ -13,6 +13,7 @@ from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     ContractionOfCycle,
     Disconnected,
     DuplicateEdgeId,
@@ -21,6 +22,9 @@ from .errors import (
     NonPositiveLength,
     NotOuterSpace,
 )
+
+# search-tree nodes (vertex images assigned) one ``are_isomorphic`` call may visit
+ISOMORPHISM_NODE_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -341,7 +345,9 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
     """Search for a length-preserving isomorphism; None if there is none.
 
     Deterministic backtracking over vertex images, refined by degree and
-    incident-length signatures.  Fine at the scales this package works with.
+    incident-length signatures.  The backtracking is exponential in the
+    worst case, so it raises BudgetExceeded once it has assigned more than
+    ``ISOMORPHISM_NODE_BUDGET`` vertex images.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
@@ -354,6 +360,7 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
     order = sorted(range(n), key=lambda v: (sig1[v], v))
     mapping: dict[int, int] = {}
     used: set[int] = set()
+    nodes = 0
 
     def consistent(v1: int, v2: int) -> bool:
         if sig1[v1] != sig2[v2]:
@@ -364,12 +371,17 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
         return True
 
     def backtrack(i: int) -> bool:
+        nonlocal nodes
         if i == n:
             return True
         v1 = order[i]
         for v2 in range(n):
             if v2 in used or not consistent(v1, v2):
                 continue
+            nodes += 1
+            if nodes > ISOMORPHISM_NODE_BUDGET:
+                raise BudgetExceeded(
+                    f"isomorphism search visited more than {ISOMORPHISM_NODE_BUDGET} nodes", nodes)
             mapping[v1] = v2
             used.add(v2)
             if backtrack(i + 1):

@@ -79,9 +79,29 @@ class SmithNormalForm:
 
 
 def _mat_mul(A, B):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    return [[sum(A[i][k] * B[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
+    """A*B over the integers, touching only nonzero entries: U and W stay
+    close to the identity, so a dense product would mostly add zeros."""
+    cols = len(B[0]) if B else 0
+    sparse_B = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    product = []
+    for row in A:
+        acc = [0] * cols
+        for a, b_row in zip(row, sparse_B):
+            if a:
+                for j, b in b_row:
+                    acc[j] += a * b
+        product.append(acc)
+    return product
+
+
+def _certify(matrix, U, D, W) -> tuple[int, ...]:
+    """The nonzero diagonal of D, after an exact check of U*A*W == D and of
+    the divisor chain; raises InvariantViolation if either fails."""
+    divisors = tuple(D[k][k] for k in range(min(len(D), len(W))) if D[k][k] != 0)
+    if (any(b % a for a, b in zip(divisors, divisors[1:]))
+            or _mat_mul(_mat_mul(U, matrix), W) != D):
+        raise InvariantViolation("Smith normal form fails U*A*W == D or the divisor chain")
+    return divisors
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = None) -> SmithNormalForm:
@@ -173,10 +193,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = No
             negate_row(t)
         t += 1
 
-    divisors = tuple(D[k][k] for k in range(min(m, n)) if D[k][k] != 0)
-    if (any(b % a for a, b in zip(divisors, divisors[1:]))
-            or _mat_mul(_mat_mul(U, [list(r) for r in matrix]), W) != D):
-        raise InvariantViolation("Smith normal form fails U*A*W == D or the divisor chain")
+    divisors = _certify(matrix, U, D, W)
     return SmithNormalForm(
         U=tuple(tuple(r) for r in U),
         D=tuple(tuple(r) for r in D),

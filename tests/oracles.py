@@ -112,6 +112,49 @@ def oracle_face_orbits(rotations) -> list[tuple[tuple[int, int], ...]]:
     return sorted(orbits)
 
 
+def oracle_map_automorphisms(m) -> list[tuple[dict, dict]]:
+    """Every automorphism of the map as (dart bijection, sense per vertex),
+    by trying all 4E images (target dart, sense) of the first dart with
+    sense +1.  Each image is spread along sigma and alpha, first assignment
+    winning, and kept only if it then passes a full check of the definition:
+    a dart bijection commuting with alpha that carries sigma to sigma^m(v),
+    with m(w) = m(v) * twist(d) * twist(image of d) across each dart d."""
+    after = {rot[i - 1]: rot[i] for rot in m.rotations for i in range(len(rot))}
+    before = {b: a for a, b in after.items()}
+    vertex = {(e.id, 0): e.u for e in m.graph.edges} | {(e.id, 1): e.v for e in m.graph.edges}
+    darts = sorted(vertex)
+
+    def flip(d):
+        return d[0], 1 - d[1]
+
+    def twist(d):
+        return -1 if d[0] in m.twists else 1
+
+    def turn(d, s):
+        return after[d] if s == 1 else before[d]
+
+    found = []
+    for target in darts:
+        for eps in (1, -1):
+            psi, sense = {darts[0]: target}, {vertex[darts[0]]: eps}
+            queue = [darts[0]]
+            for d in queue:
+                s = sense[vertex[d]]
+                sense.setdefault(vertex[flip(d)], s * twist(d) * twist(psi[d]))
+                for nd, img in ((after[d], turn(psi[d], s)), (flip(d), flip(psi[d]))):
+                    if nd not in psi:
+                        psi[nd] = img
+                        queue.append(nd)
+            if (sorted(psi) == darts and sorted(psi.values()) == darts
+                    and all(psi[flip(d)] == flip(psi[d])
+                            and psi[after[d]] == turn(psi[d], sense[vertex[d]])
+                            and sense[vertex[flip(d)]]
+                            == sense[vertex[d]] * twist(d) * twist(psi[d])
+                            for d in darts)):
+                found.append((psi, sense))
+    return found
+
+
 def oracle_length(g: MetricGraph, c: Cycle) -> Fraction:
     return sum((g.lengths[eid] for eid in c.edge_ids), Fraction(0))
 

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from graphspine import graphs
 from graphspine.errors import (
+    BudgetExceeded,
     ContractionOfCycle,
     Disconnected,
     DuplicateEdgeId,
@@ -217,6 +219,17 @@ def test_isomorphism_reflexive_and_symmetric(g):
     forward = are_isomorphic(g, mangled)
     backward = are_isomorphic(mangled, g)
     assert forward is not None and backward is not None
+
+
+def test_isomorphism_search_has_a_budget(monkeypatch, k4):
+    relabeled, _, _ = random_relabeling(random.Random(3), k4)
+    # every vertex of K4 looks alike, so the search assigns at least 4 images
+    monkeypatch.setattr(graphs, "ISOMORPHISM_NODE_BUDGET", 3)
+    with pytest.raises(BudgetExceeded) as excinfo:
+        are_isomorphic(k4, relabeled)
+    assert excinfo.value.count == 4
+    monkeypatch.setattr(graphs, "ISOMORPHISM_NODE_BUDGET", 4)
+    assert are_isomorphic(k4, relabeled) is not None
 
 
 def test_isomorphism_respects_lengths_on_edges(theta):

@@ -6,7 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphspine.errors import ForeignCycle
+from graphspine import homology
+from graphspine.errors import ForeignCycle, InvariantViolation
 from graphspine.fill import systole_profile
 from graphspine.graphs import Cycle, Edge, MetricGraph, rank
 from graphspine.homology import (
@@ -143,6 +144,31 @@ def test_snf_check_survives_optimize():
     ]))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "InvariantViolation"]
+
+
+@pytest.mark.parametrize("rows", [
+    [(2, 4, 4), (-6, 6, 12), (10, -4, -16)],
+    [(1, 0, 2, 0), (0, 3, 0, 0), (2, 0, 4, 0)],
+])
+def test_snf_certificate_catches_one_corrupted_entry(monkeypatch, rows):
+    # corrupt one entry of D or W after the elimination, just before the
+    # certificate is checked.  A row k of W meets U*A only through column k
+    # of A, so its entries are seen exactly where that column is nonzero;
+    # every entry of D is seen
+    snf = smith_normal_form(rows)
+    seen_rows = [k for k in range(len(rows[0])) if any(r[k] for r in rows)]
+    positions = [("D", i, j) for i in range(len(snf.D)) for j in range(len(snf.D[0]))]
+    positions += [("W", k, j) for k in seen_rows for j in range(len(snf.W))]
+    certify = homology._certify
+    for which, i, j in positions:
+        def corrupted(matrix, U, D, W, which=which, i=i, j=j):
+            D, W = [list(r) for r in D], [list(r) for r in W]
+            (D if which == "D" else W)[i][j] += 1
+            return certify(matrix, U, D, W)
+
+        monkeypatch.setattr(homology, "_certify", corrupted)
+        with pytest.raises(InvariantViolation):
+            smith_normal_form(rows)
 
 
 @given(multigraphs(max_edges=7))

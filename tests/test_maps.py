@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphspine import maps
 from graphspine.errors import InvalidMap, NotCubic, UnknownDataset
 from graphspine.graphs import Edge, MetricGraph, rank
 from graphspine.cycles import minimum_cycles
@@ -27,8 +28,9 @@ from graphspine.maps import (
     trace_faces,
 )
 
-from .oracles import oracle_face_orbits
+from .oracles import oracle_face_orbits, oracle_map_automorphisms
 from .strategies import rotation_systems
+from .test_cli import counted
 
 MAP_DATASETS = ("theta", "dumbbell_equal", "tetrahedron", "cube",
                 "petersen_projective", "heawood_torus", "klein_73")
@@ -196,7 +198,7 @@ def test_flag_transitivity_counts():
 def test_transitive_implies_vertex_and_face_transitive():
     for name in ("tetrahedron", "cube", "theta"):
         m = bundled_dataset(name)
-        autos = map_automorphisms(m)
+        autos = [psi for psi, _ in oracle_map_automorphisms(m)]
         # orbit of vertex 0 under the automorphism action covers all vertices
         base_dart = m.darts[0]
         vertex_images = {m.dart_vertex[psi[d]] for psi in autos for d in m.darts
@@ -212,6 +214,54 @@ def test_transitive_implies_vertex_and_face_transitive():
             mapped = [psi[d] for d in base_face.darts]
             images.add(Cycle.make(m.graph, mapped))
         assert images == face_keys
+
+
+def _closed_group(m, generators) -> set:
+    """Every product of the generators (the identity included), each as its
+    dart images in dart order and its senses in vertex order."""
+    vertices = range(m.graph.num_vertices)
+
+    def key(psi, sense):
+        return tuple(psi[d] for d in m.darts), tuple(sense[v] for v in vertices)
+
+    identity = ({d: d for d in m.darts}, {v: 1 for v in vertices})
+    seen, todo = {key(*identity)}, [identity]
+    while todo:
+        psi, sense = todo.pop()
+        for gen_psi, gen_sense in generators:
+            product = {d: gen_psi[psi[d]] for d in m.darts}
+            product_sense = {m.dart_vertex[d]: sense[m.dart_vertex[d]]
+                             * gen_sense[m.dart_vertex[psi[d]]] for d in m.darts}
+            k = key(product, product_sense)
+            if k not in seen:
+                seen.add(k)
+                todo.append((product, product_sense))
+    return seen
+
+
+def test_generators_span_the_whole_group():
+    for name in MAP_DATASETS:
+        m = bundled_dataset(name)
+        autos = map_automorphisms(m)
+        want = oracle_map_automorphisms(m)
+        got = _closed_group(m, autos.generators)
+        assert got == {(tuple(psi[d] for d in m.darts),
+                        tuple(sense[v] for v in range(m.graph.num_vertices)))
+                       for psi, sense in want}, name
+        assert len(autos.orbit) == len(want) == flag_transitivity(m).aut_order
+
+
+def test_automorphism_search_propagates_a_handful_of_times(monkeypatch):
+    # the orbit closure tries only flags outside the base flag's orbit and
+    # outside every refuted orbit; trying every flag would take 4E
+    calls = counted(monkeypatch, maps, "_propagate")
+    counts = {}
+    for name in MAP_DATASETS:
+        calls.clear()
+        flag_transitivity(bundled_dataset(name))
+        counts[name] = len(calls)
+    assert counts == {"theta": 3, "dumbbell_equal": 6, "tetrahedron": 3, "cube": 3,
+                      "petersen_projective": 3, "heawood_torus": 5, "klein_73": 3}
 
 
 def test_face_systole_verdicts():
@@ -355,3 +405,15 @@ def test_flipping_a_vertex_keeps_the_faces(m, data):
         return sorted((len(f), f.embedded) for f in faces.faces), {f.cycle for f in faces.faces}
 
     assert shape(flipped.faces) == shape(m.faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANY_MAP)
+def test_aut_order_is_the_exhaustive_count(m):
+    ft = flag_transitivity(m)
+    autos = oracle_map_automorphisms(m)
+    assert ft.aut_order == len(autos)
+    assert ft.flag_count % ft.aut_order == 0
+    base = m.darts[0]
+    assert map_automorphisms(m).orbit == {(psi[base], sense[m.dart_vertex[base]])
+                                          for psi, sense in autos}
