@@ -9,7 +9,6 @@ from .errors import GraphSpineError
 from .graphs import (
     Cycle,
     Edge,
-    Isomorphism,
     MetricGraph,
     are_isomorphic,
     contract_forest,
@@ -27,7 +26,6 @@ from .cycles import (
     minimum_cycles,
 )
 from .homology import (
-    HomologyBasis,
     LatticeVerdict,
     build_basis,
     cycle_class,

@@ -36,15 +36,14 @@ def indicator_row(g: MetricGraph, c: Cycle) -> tuple[int, ...]:
     return tuple(1 if e.id in c.edge_ids else 0 for e in g.edges)
 
 
-def systole_equality_system(profile: SystoleProfile) -> tuple[tuple[Fraction, ...], ...]:
-    """Constraint matrix: F-1 consecutive length-difference rows followed by
+def systole_equality_system(profile: SystoleProfile) -> tuple[tuple[int, ...], ...]:
+    """Integer constraint matrix: F-1 consecutive length-difference rows, then
     the all-ones volume row; columns follow the graph's edge order."""
     g = profile.graph
     indicators = [indicator_row(g, c) for c in profile.systoles]
-    rows: list[tuple[Fraction, ...]] = []
-    for i in range(len(indicators) - 1):
-        rows.append(tuple(Fraction(b - a) for a, b in zip(indicators[i], indicators[i + 1])))
-    rows.append(tuple(Fraction(1) for _ in range(g.num_edges)))
+    rows = [tuple(b - a for a, b in zip(indicators[i], indicators[i + 1]))
+            for i in range(len(indicators) - 1)]
+    rows.append((1,) * g.num_edges)
     return tuple(rows)
 
 

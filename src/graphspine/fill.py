@@ -5,7 +5,7 @@ consumer (lattice, fill, membership, deformation, flow) takes it alone.  A
 family of curves topologically fills when every component of the complement
 of their union is contractible (equivalently: no embedded cycle is point-wise
 disjoint from the union), and geometrically fills when the union is the whole
-graph.
+graph.  A ``Membership`` is the three verdicts W, V and V' alone.
 """
 
 from __future__ import annotations
@@ -92,8 +92,6 @@ class Membership:
     in_W: bool
     in_V: bool
     in_Vprime: bool
-    lattice: LatticeVerdict
-    support: SystoleSupport
 
 
 def classify_membership(profile: SystoleProfile) -> Membership:
@@ -106,7 +104,7 @@ def classify_membership(profile: SystoleProfile) -> Membership:
         raise NotOuterSpace(f"membership classification needs rank >= 2, got {rank(g)}")
     support = profile.support
     m = Membership(is_well_rounded(profile), _complement_is_forest(g, support),
-                   support.covers(g), profile.lattice, support)
+                   support.covers(g))
     if (m.in_W or m.in_Vprime) and not m.in_V:
         raise InvariantViolation(f"{g.name} lies in W or V' but not in V")
     return m

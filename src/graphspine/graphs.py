@@ -2,7 +2,8 @@
 
 Vertices are integers ``0..V-1``.  Loops and parallel edges are allowed.
 Every length is a :class:`fractions.Fraction`; no decision anywhere in this
-package is made in floating point.
+package is made in floating point.  A length-preserving isomorphism is
+returned as its vertex map.
 """
 
 from __future__ import annotations
@@ -121,6 +122,10 @@ class MetricGraph:
         return len(self.edges)
 
     def with_lengths(self, lengths: Mapping[int, Fraction]) -> "MetricGraph":
+        """The same graph with new lengths; each must be an int or a Fraction."""
+        for e in self.edges:
+            if not isinstance(lengths[e.id], (int, Fraction)):
+                raise InvalidGraph(f"edge {e.id} length must be an int or a Fraction")
         new_edges = tuple(replace(e, length=Fraction(lengths[e.id])) for e in self.edges)
         return MetricGraph(self.num_vertices, new_edges, self.name)
 
@@ -316,43 +321,41 @@ def contract_forest(g: MetricGraph, edge_ids: Iterable[int]) -> MetricGraph:
 # isomorphism
 
 
-@dataclass(frozen=True)
-class Isomorphism:
-    """Length-preserving multigraph isomorphism g1 -> g2."""
-
-    vertex_map: tuple[int, ...]
-    edge_map: tuple[tuple[int, int], ...]  # (edge id in g1, edge id in g2)
-
-
-def _vertex_signature(g: MetricGraph, v: int):
-    incident = []
-    loops = []
+def _pair_table(g: MetricGraph) -> dict[tuple[int, int], tuple[Fraction, ...]]:
+    """Sorted lengths of the edges joining u and v under (min, max); loops at v under (v, v)."""
+    table: dict[tuple[int, int], list[Fraction]] = {}
     for e in g.edges:
-        if e.is_loop and e.u == v:
-            loops.append(e.length)
-        elif v in (e.u, e.v):
-            incident.append(e.length)
-    return (g.degree(v), tuple(sorted(loops)), tuple(sorted(incident)))
+        table.setdefault((min(e.u, e.v), max(e.u, e.v)), []).append(e.length)
+    return {pair: tuple(sorted(lengths)) for pair, lengths in table.items()}
 
 
-def _pair_lengths(g: MetricGraph, a: int, b: int) -> tuple[Fraction, ...]:
-    if a == b:
-        return tuple(sorted(e.length for e in g.edges if e.is_loop and e.u == a))
-    return tuple(sorted(e.length for e in g.edges if {e.u, e.v} == {a, b}))
+def _vertex_signatures(g: MetricGraph, table) -> list[tuple]:
+    """Per vertex: degree, its loop lengths and its other incident lengths."""
+    loops: list[tuple[Fraction, ...]] = [() for _ in range(g.num_vertices)]
+    incident: list[list[Fraction]] = [[] for _ in range(g.num_vertices)]
+    for (a, b), lengths in table.items():
+        if a == b:
+            loops[a] = lengths
+        else:
+            incident[a].extend(lengths)
+            incident[b].extend(lengths)
+    return [(g.degree(v), loops[v], tuple(sorted(incident[v]))) for v in range(g.num_vertices)]
 
 
-def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
-    """Search for a length-preserving isomorphism; None if there is none.
+def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]]:
+    """A length-preserving isomorphism g1 -> g2 as its vertex map, or None.
 
     Deterministic backtracking over vertex images, refined by degree and
-    incident-length signatures.  The backtracking is exponential in the
-    worst case, so it raises BudgetExceeded once it has assigned more than
+    incident-length signatures.  A map that carries the lengths joining each
+    vertex pair, loops included, extends to a length-preserving edge
+    bijection.  The backtracking is exponential in the worst case, so it
+    raises BudgetExceeded once it has assigned more than
     ``ISOMORPHISM_NODE_BUDGET`` vertex images.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
         return None
-    sig1 = [_vertex_signature(g1, v) for v in range(g1.num_vertices)]
-    sig2 = [_vertex_signature(g2, v) for v in range(g2.num_vertices)]
+    pairs1, pairs2 = _pair_table(g1), _pair_table(g2)
+    sig1, sig2 = _vertex_signatures(g1, pairs1), _vertex_signatures(g2, pairs2)
     if sorted(sig1) != sorted(sig2):
         return None
 
@@ -366,7 +369,8 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
         if sig1[v1] != sig2[v2]:
             return False
         for w1, w2 in mapping.items():
-            if _pair_lengths(g1, v1, w1) != _pair_lengths(g2, v2, w2):
+            if (pairs1.get((min(v1, w1), max(v1, w1)), ())
+                    != pairs2.get((min(v2, w2), max(v2, w2)), ())):
                 return False
         return True
 
@@ -392,25 +396,7 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[Isomorphism]:
 
     if not backtrack(0):
         return None
-
-    vertex_map = tuple(mapping[v] for v in range(n))
-    edge_pairs: list[tuple[int, int]] = []
-    by_pair1: dict[tuple[int, int], list[Edge]] = {}
-    by_pair2: dict[tuple[int, int], list[Edge]] = {}
-    for e in g1.edges:
-        a, b = sorted((vertex_map[e.u], vertex_map[e.v]))
-        by_pair1.setdefault((a, b), []).append(e)
-    for e in g2.edges:
-        a, b = sorted((e.u, e.v))
-        by_pair2.setdefault((a, b), []).append(e)
-    for key, edges1 in sorted(by_pair1.items()):
-        edges2 = by_pair2.get(key, [])
-        edges1 = sorted(edges1, key=lambda e: (e.length, e.id))
-        edges2 = sorted(edges2, key=lambda e: (e.length, e.id))
-        if [e.length for e in edges1] != [e.length for e in edges2]:
-            return None
-        edge_pairs.extend((a.id, b.id) for a, b in zip(edges1, edges2))
-    return Isomorphism(vertex_map=vertex_map, edge_map=tuple(sorted(edge_pairs)))
+    return tuple(mapping[v] for v in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Integer homology of a metric graph via a spanning-tree basis.
 
 H_1(g, Z) is free of rank E - V + 1; the fundamental cycles of the chords of
-a spanning tree form a basis.  The lattice spanned by the systole classes is
-analyzed through an exact Smith normal form.
+a spanning tree form a basis, so a basis is its chord tuple and a cycle's
+class is its signed chord counts.  The lattice spanned by the systole
+classes is analyzed through an exact Smith normal form.
 """
 
 from __future__ import annotations
@@ -18,20 +19,9 @@ if TYPE_CHECKING:
     from .fill import SystoleProfile
 
 
-@dataclass(frozen=True)
-class HomologyBasis:
-    """Spanning tree plus ordered chords c_1..c_n."""
-
-    tree_edge_ids: frozenset[int]
-    chords: tuple[int, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.chords)
-
-
-def build_basis(g: MetricGraph) -> HomologyBasis:
-    """Deterministic minimum-edge-id BFS spanning tree; chords sorted by id."""
+def build_basis(g: MetricGraph) -> tuple[int, ...]:
+    """The chords c_1..c_n, sorted by id, of the deterministic minimum-edge-id
+    BFS spanning tree; the tree is every other edge."""
     tree: set[int] = set()
     reached = {0}
     frontier = [0]
@@ -44,17 +34,16 @@ def build_basis(g: MetricGraph) -> HomologyBasis:
                     tree.add(eid)
                     next_frontier.append(other)
         frontier = next_frontier
-    chords = tuple(sorted(e.id for e in g.edges if e.id not in tree))
-    return HomologyBasis(frozenset(tree), chords)
+    return tuple(sorted(e.id for e in g.edges if e.id not in tree))
 
 
-def cycle_class(g: MetricGraph, basis: HomologyBasis, c: Cycle) -> tuple[int, ...]:
+def cycle_class(g: MetricGraph, chords: tuple[int, ...], c: Cycle) -> tuple[int, ...]:
     """Signed chord-traversal counts of the cycle in the given orientation."""
     unknown = c.edge_ids - set(g.edge_by_id)
     if unknown:
         raise ForeignCycle(f"cycle uses edges not in graph: {sorted(unknown)}")
-    index = {eid: i for i, eid in enumerate(basis.chords)}
-    vec = [0] * basis.n
+    index = {eid: i for i, eid in enumerate(chords)}
+    vec = [0] * len(chords)
     for eid, d in c.steps:
         i = index.get(eid)
         if i is not None:
@@ -210,8 +199,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], ncols: Optional[int] = No
 class LatticeVerdict:
     """Sublattice of H_1 spanned by a family of cycle classes."""
 
-    generators: tuple[tuple[int, ...], ...]
-    ambient_rank: int
     rank: int
     divisors: tuple[int, ...]
     index: Optional[int]  # None means infinite
@@ -229,14 +216,14 @@ def lattice_verdict(classes: Sequence[Sequence[int]], ambient_rank: int) -> Latt
         index = 1
         for d in snf.divisors:
             index *= d
-    return LatticeVerdict(tuple(map(tuple, classes)), ambient_rank, r, snf.divisors, index)
+    return LatticeVerdict(r, snf.divisors, index)
 
 
 def systole_lattice(profile: SystoleProfile) -> LatticeVerdict:
     """Verdict on the lattice spanned by the classes of the profile's systoles."""
     g = profile.graph
-    basis = build_basis(g)
-    classes = [cycle_class(g, basis, c) for c in profile.systoles]
+    chords = build_basis(g)
+    classes = [cycle_class(g, chords, c) for c in profile.systoles]
     return lattice_verdict(classes, rank(g))
 
 

@@ -401,7 +401,6 @@ class FaceSystoleReport:
     profile: SystoleProfile
     p: int
     equal: bool
-    all_faces_embedded: bool
     face_count: int
     extra_min_cycles: tuple[Cycle, ...]
 
@@ -423,7 +422,7 @@ def systoles_equal_faces(m: CombinatorialMap, cap: int = DEFAULT_CYCLE_CAP) -> F
     equal = profile.girth == t.p and all_embedded and set(mins) == face_cycles
     extras = tuple(sorted((c for c in mins if c not in face_cycles), key=Cycle.sort_key))
     return FaceSystoleReport(
-        profile=profile, p=t.p, equal=equal, all_faces_embedded=all_embedded,
+        profile=profile, p=t.p, equal=equal,
         face_count=faces.count, extra_min_cycles=extras,
     )
 

@@ -57,13 +57,13 @@ def check_theta_analysis(data: Bundled) -> CheckResult:
         girth == Fraction(2, 3)
         and len(systoles) == 3
         and m.in_W and m.in_V and m.in_Vprime
-        and m.lattice.index == 1
+        and profile.lattice.index == 1
         and rec.dim == 0
     )
     return _check(
         "theta-analysis", ok,
         f"3 systoles of 2/3 (got {len(systoles)} of {girth}), membership "
-        f"({m.in_W},{m.in_V},{m.in_Vprime}), lattice index {m.lattice.index}, dim {rec.dim}")
+        f"({m.in_W},{m.in_V},{m.in_Vprime}), lattice index {profile.lattice.index}, dim {rec.dim}")
 
 
 def check_dumbbell_membership(data: Bundled) -> CheckResult:

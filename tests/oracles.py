@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -80,6 +80,32 @@ def oracle_fundamental_cycle(g: MetricGraph, tree_edge_ids, chord_id: int) -> Cy
     allowed = set(tree_edge_ids) | {chord_id}
     (c,) = [c for c in oracle_cycles(g) if c.edge_ids <= allowed]
     return c if (chord_id, 0) in c.steps else c.reverse()
+
+
+def oracle_pair_lengths(g: MetricGraph) -> dict[frozenset[int], list[Fraction]]:
+    """The sorted lengths of the edges joining each unordered vertex pair; a
+    vertex's loops are under the one-element set of that vertex."""
+    pairs: dict[frozenset[int], list[Fraction]] = {}
+    for e in g.edges:
+        pairs.setdefault(frozenset((e.u, e.v)), []).append(e.length)
+    return {pair: sorted(lengths) for pair, lengths in pairs.items()}
+
+
+def oracle_carries_pair_lengths(g1: MetricGraph, g2: MetricGraph, vertex_map) -> bool:
+    """Whether the vertex map carries the lengths joining every vertex pair of
+    g1 onto those joining the image pair in g2, and misses no pair of g2."""
+    pairs1, pairs2 = oracle_pair_lengths(g1), oracle_pair_lengths(g2)
+    return (len(pairs1) == len(pairs2)
+            and all(pairs2.get(frozenset(vertex_map[x] for x in pair)) == lengths
+                    for pair, lengths in pairs1.items()))
+
+
+def oracle_isomorphic(g1: MetricGraph, g2: MetricGraph) -> bool:
+    """Whether some vertex bijection carries every pair's lengths, by trying
+    all V! permutations."""
+    return (g1.num_vertices == g2.num_vertices
+            and any(oracle_carries_pair_lengths(g1, g2, perm)
+                    for perm in permutations(range(g1.num_vertices))))
 
 
 def oracle_support_betti(g: MetricGraph, edge_ids) -> int:

@@ -235,8 +235,8 @@ def test_acceptance_10_equivariance():
         pa, pb = systole_profile(g), systole_profile(mangled)
         a, b = classify_membership(pa), classify_membership(pb)
         assert (a.in_W, a.in_V, a.in_Vprime) == (b.in_W, b.in_V, b.in_Vprime)
-        assert (a.lattice.rank, a.lattice.divisors, a.lattice.index) == (
-            b.lattice.rank, b.lattice.divisors, b.lattice.index)
+        assert (pa.lattice.rank, pa.lattice.divisors, pa.lattice.index) == (
+            pb.lattice.rank, pb.lattice.divisors, pb.lattice.index)
         ra, rb = local_deformation_dimension(pa), local_deformation_dimension(pb)
         assert (ra.F, ra.rank_diff, ra.dim) == (rb.F, rb.rank_diff, rb.dim)
         ta, tb = retract_to_spine(g), retract_to_spine(mangled)

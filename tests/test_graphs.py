@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphspine import graphs
 from graphspine.errors import (
@@ -30,6 +31,7 @@ from graphspine.graphs import (
 )
 
 from .conftest import make_dumbbell, make_theta
+from .oracles import oracle_carries_pair_lengths, oracle_isomorphic
 from .strategies import multigraphs, random_relabeling, relabel_graph
 
 THETA_FILE = """\
@@ -233,12 +235,42 @@ def test_isomorphism_search_has_a_budget(monkeypatch, k4):
 
 
 def test_isomorphism_respects_lengths_on_edges(theta):
-    relabeled, vperm, emap = random_relabeling(random.Random(3), theta)
-    iso = are_isomorphic(theta, relabeled)
-    mapped = dict(iso.edge_map)
-    for e in theta.edges:
-        target = relabeled.edge_by_id[mapped[e.id]]
-        assert target.length == e.length
+    relabeled, _, _ = random_relabeling(random.Random(3), theta)
+    vertex_map = are_isomorphic(theta, relabeled)
+    assert oracle_carries_pair_lengths(theta, relabeled, vertex_map)
+
+
+@given(multigraphs(max_vertices=6), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_isomorphism_matches_the_permutation_oracle(g, seed, unit):
+    if unit:  # with every length tied, the vertex signatures tell little apart
+        g = g.with_lengths(dict.fromkeys(g.lengths, 1))
+    rng = random.Random(seed)
+    copy, _, _ = random_relabeling(rng, g)
+    vertex_map = are_isomorphic(g, copy)
+    assert vertex_map is not None
+    assert oracle_carries_pair_lengths(g, copy, vertex_map)
+    # near misses: one edge takes another edge's length, one endpoint moves
+    e, f = rng.choice(copy.edges), rng.choice(copy.edges)
+    variants = [copy.with_lengths({**copy.lengths, e.id: f.length})]
+    w = rng.randrange(copy.num_vertices)
+    moved = [Edge(x.id, w, x.v, x.length) if x.id == e.id else x for x in copy.edges]
+    try:
+        variants.append(MetricGraph(copy.num_vertices, tuple(moved), copy.name))
+    except Disconnected:
+        pass
+    for h in variants:
+        vertex_map = are_isomorphic(g, h)
+        assert (vertex_map is not None) == oracle_isomorphic(g, h)
+        assert vertex_map is None or oracle_carries_pair_lengths(g, h, vertex_map)
+
+
+def test_with_lengths_refuses_inexact_lengths(theta):
+    # a float would become its binary expansion, a string a parsed rational
+    for bad in (0.1, "1/3"):
+        with pytest.raises(InvalidGraph):
+            theta.with_lengths({0: bad, 1: Fraction(1, 3), 2: Fraction(1, 3)})
+    assert theta.with_lengths({0: 1, 1: 2, 2: Fraction(1, 2)}).volume == Fraction(7, 2)
 
 
 # -- cycles as values --------------------------------------------------------

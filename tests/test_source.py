@@ -76,3 +76,43 @@ def test_systole_consumers_take_the_profile_alone():
                          if a.arg == "profile"
                          and isinstance(d, ast.Constant) and d.value is None]
     assert (mixed, loose, fallback) == ([], [], [])
+
+
+# Certificates that tests check again, so they are kept without a package
+# reader: U of U*A*W == D (checked against sympy) and the automorphism
+# generators (their closure is checked against the exhaustive oracle).
+UNREAD_CERTIFICATES = {"SmithNormalForm.U", "MapAutomorphisms.generators"}
+
+
+def _result_fields(path: Path) -> set[str]:
+    """``Class.name`` for every field and property of each dataclass."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.ClassDef)
+                and any("dataclass" in ast.unparse(d) for d in node.decorator_list)):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                found.add(f"{node.name}.{item.target.id}")
+            elif isinstance(item, ast.FunctionDef) and any(
+                    ast.unparse(d) in ("property", "cached_property") for d in item.decorator_list):
+                found.add(f"{node.name}.{item.name}")
+    return found
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_result_field_has_a_reader():
+    # a field a function builds is read somewhere by package, script or
+    # benchmark code; the scan goes by attribute name only, so it is a floor
+    # (a field that shares its name with a read one passes unread)
+    fields = set().union(*map(_result_fields, PACKAGE.glob("*.py")))
+    assert "LatticeVerdict.index" in fields and "SystoleProfile.lattice" in fields
+    readers = (list(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py")))
+    read = set().union(*map(_attribute_reads, readers))
+    unread = sorted(f for f in fields - UNREAD_CERTIFICATES if f.split(".")[1] not in read)
+    assert unread == [], unread
