@@ -15,7 +15,6 @@ enumerated and the search space is finite.
 from __future__ import annotations
 
 import heapq
-import itertools
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -58,49 +57,29 @@ def _scaled_floor(x: Rational, den: int) -> int:
 
 def bridge_ids(g: MetricGraph) -> frozenset[int]:
     """Edges on no cycle at all.  Loops are never bridges; a parallel pair is
-    never a bridge."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.num_vertices)]
+    never a bridge.
+
+    These are the edges of ``g.spanning_tree`` on no chord's fundamental
+    cycle: the fundamental cycles span the cycle space, so a cycle through a
+    tree edge is a sum of them and one of them passes that edge.  Each
+    chord's two ends walk up the tree to their meeting point.
+    """
+    order, parent = g.spanning_tree
+    depth = {order[0]: 0}
+    for v in order[1:]:
+        depth[v] = depth[parent[v][1]] + 1
+    tree = {eid for eid, _ in parent.values()}
+    on_cycle: set[int] = set()
     for e in g.edges:
-        if e.is_loop:
+        if e.id in tree:
             continue
-        adj[e.u].append((e.id, e.v))
-        adj[e.v].append((e.id, e.u))
-
-    visited = [False] * g.num_vertices
-    disc = [0] * g.num_vertices
-    low = [0] * g.num_vertices
-    bridges: set[int] = set()
-    counter = itertools.count(1)
-
-    for root in range(g.num_vertices):
-        if visited[root]:
-            continue
-        # iterative DFS; entry edge id is skipped once (parallel copies still count)
-        stack: list[tuple[int, int, int]] = [(root, -1, 0)]
-        order: list[tuple[int, int]] = []
-        while stack:
-            v, in_edge, idx = stack.pop()
-            if idx == 0:
-                visited[v] = True
-                disc[v] = low[v] = next(counter)
-                order.append((v, in_edge))
-            if idx < len(adj[v]):
-                stack.append((v, in_edge, idx + 1))
-                eid, w = adj[v][idx]
-                if eid == in_edge:
-                    continue
-                if visited[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    stack.append((w, eid, 0))
-        # fold low-links back up in reverse discovery order
-        for v, in_edge in reversed(order):
-            for eid, w in adj[v]:
-                if eid != in_edge and disc[w] > disc[v]:
-                    low[v] = min(low[v], low[w])
-            if in_edge != -1 and low[v] == disc[v]:
-                bridges.add(in_edge)
-    return frozenset(bridges)
+        x, y = e.u, e.v
+        while x != y:
+            if depth[x] < depth[y]:
+                x, y = y, x
+            eid, x = parent[x]
+            on_cycle.add(eid)
+    return frozenset(tree - on_cycle)
 
 
 def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed,

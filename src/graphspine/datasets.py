@@ -42,9 +42,7 @@ def dataset_text(name: str) -> str:
 def bundled_dataset(name: str) -> Union[CombinatorialMap, MetricGraph]:
     """Load a bundled object; a CombinatorialMap when the file carries
     rotations, a plain MetricGraph otherwise."""
-    if name not in DATASET_NAMES:
-        raise UnknownDataset(name, DATASET_NAMES)
-    text = _read(f"{name}.graph")
+    text = dataset_text(name)
     if any(line.startswith("rotation") for line in text.splitlines()):
         return parse_map(text)
     return parse_graph(text)

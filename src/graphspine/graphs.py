@@ -2,8 +2,10 @@
 
 Vertices are integers ``0..V-1``.  Loops and parallel edges are allowed.
 Every length is a :class:`fractions.Fraction`; no decision anywhere in this
-package is made in floating point.  A length-preserving isomorphism is
-returned as its vertex map.
+package is made in floating point.  Each graph grows one spanning tree,
+which decides connectivity and orders the isomorphism search; the homology
+basis, the bridges and map orientability read the same tree.  A
+length-preserving isomorphism is returned as its vertex map.
 """
 
 from __future__ import annotations
@@ -72,21 +74,8 @@ class MetricGraph:
                 raise InvalidGraph(f"edge {e.id} length must be a Fraction")
             if e.length <= 0:
                 raise NonPositiveLength(f"edge {e.id} has non-positive length {e.length}")
-        if not self._is_connected():
+        if len(self.spanning_tree[0]) != self.num_vertices:
             raise Disconnected(f"graph {self.name!r} is not connected")
-
-    def _is_connected(self) -> bool:
-        if self.num_vertices == 1:
-            return True
-        reached = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for _, y in self.adjacency[x]:
-                if y not in reached:
-                    reached.add(y)
-                    stack.append(y)
-        return len(reached) == self.num_vertices
 
     # -- derived views ------------------------------------------------------
 
@@ -105,6 +94,19 @@ class MetricGraph:
             adj[e.u].append((e.id, e.v))
             adj[e.v].append((e.id, e.u))
         return tuple(tuple(sorted(a)) for a in adj)
+
+    @cached_property
+    def spanning_tree(self) -> tuple[tuple[int, ...], Mapping[int, tuple[int, int]]]:
+        """The minimum-edge-id BFS tree from vertex 0: the vertices in the
+        order reached, and each non-root vertex's (tree edge, parent)."""
+        order = [0]
+        parent: dict[int, tuple[int, int]] = {}
+        for x in order:  # a FIFO queue: the loop also visits what it appends
+            for eid, y in self.adjacency[x]:
+                if y != 0 and y not in parent:
+                    parent[y] = (eid, x)
+                    order.append(y)
+        return tuple(order), parent
 
     @cached_property
     def volume(self) -> Fraction:
@@ -346,9 +348,11 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]
     """A length-preserving isomorphism g1 -> g2 as its vertex map, or None.
 
     Deterministic backtracking over vertex images, refined by degree and
-    incident-length signatures.  A map that carries the lengths joining each
-    vertex pair, loops included, extends to a length-preserving edge
-    bijection.  The backtracking is exponential in the worst case, so it
+    incident-length signatures.  The vertices of g1 are assigned in the
+    order of its spanning tree, so each one after the first has a mapped
+    neighbour and its image must carry that pair's lengths.  A map that
+    carries the lengths joining each vertex pair, loops included, extends to
+    a length-preserving edge bijection.  The backtracking is exponential in the worst case, so it
     raises BudgetExceeded once it has assigned more than
     ``ISOMORPHISM_NODE_BUDGET`` vertex images.
     """
@@ -360,7 +364,7 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]
         return None
 
     n = g1.num_vertices
-    order = sorted(range(n), key=lambda v: (sig1[v], v))
+    order = g1.spanning_tree[0]
     mapping: dict[int, int] = {}
     used: set[int] = set()
     nodes = 0

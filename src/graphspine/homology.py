@@ -1,8 +1,8 @@
 """Integer homology of a metric graph via a spanning-tree basis.
 
 H_1(g, Z) is free of rank E - V + 1; the fundamental cycles of the chords of
-a spanning tree form a basis, so a basis is its chord tuple and a cycle's
-class is its signed chord counts.  The lattice spanned by the systole
+the graph's spanning tree form a basis, so a basis is its chord tuple and a
+cycle's class is its signed chord counts.  The lattice spanned by the systole
 classes is analyzed through an exact Smith normal form.
 """
 
@@ -20,21 +20,10 @@ if TYPE_CHECKING:
 
 
 def build_basis(g: MetricGraph) -> tuple[int, ...]:
-    """The chords c_1..c_n, sorted by id, of the deterministic minimum-edge-id
-    BFS spanning tree; the tree is every other edge."""
-    tree: set[int] = set()
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        next_frontier: list[int] = []
-        for v in frontier:
-            for eid, other in g.adjacency[v]:
-                if other not in reached:
-                    reached.add(other)
-                    tree.add(eid)
-                    next_frontier.append(other)
-        frontier = next_frontier
-    return tuple(sorted(e.id for e in g.edges if e.id not in tree))
+    """The chords c_1..c_n, sorted by id, of ``g.spanning_tree`` (the
+    minimum-edge-id BFS tree); the tree is every other edge."""
+    tree = {eid for eid, _ in g.spanning_tree[1].values()}
+    return tuple(e.id for e in g.edges if e.id not in tree)
 
 
 def cycle_class(g: MetricGraph, chords: tuple[int, ...], c: Cycle) -> tuple[int, ...]:

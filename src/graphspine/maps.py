@@ -9,7 +9,8 @@ sigma o alpha.
 Non-orientable embeddings are supported through an optional set of twisted
 edges (a signed rotation system); crossing a twisted edge flips the local
 sense of rotation.  One signed tracer serves both kinds of map; without
-twists it reduces to the plain sigma o alpha orbits above.
+twists it reduces to the plain sigma o alpha orbits above.  Orientability
+is decided along the skeleton's spanning tree.
 
 Automorphisms act freely on the 4E flags (a dart and a local sense), so
 |Aut| is the size of the base flag's orbit.  The search keeps each
@@ -93,19 +94,17 @@ class CombinatorialMap:
     def is_orientable(self) -> bool:
         """Whether the twist signs can be removed by flipping local rotations
         (always true when there are no twists).  A twisted loop is intrinsic:
-        flipping its vertex negates both ends."""
+        flipping its vertex negates both ends.  The signs are propagated
+        along the graph's spanning tree, then every edge is checked; any
+        tree gives the same answer."""
         g = self.graph
         if any(g.edge_by_id[eid].is_loop for eid in self.twists):
             return False
-        sign = {0: 1}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for eid, w in g.adjacency[v]:
-                if g.edge_by_id[eid].is_loop or w in sign:
-                    continue
-                sign[w] = sign[v] * self.twist_sign(eid)
-                stack.append(w)
+        order, parent = g.spanning_tree
+        sign = {order[0]: 1}
+        for v in order[1:]:
+            eid, p = parent[v]
+            sign[v] = sign[p] * self.twist_sign(eid)
         return all(
             e.is_loop or sign[e.u] * sign[e.v] * self.twist_sign(e.id) == 1
             for e in g.edges
@@ -128,8 +127,7 @@ class CombinatorialMap:
 @dataclass(frozen=True)
 class FaceWalk:
     darts: tuple[Dart, ...]
-    embedded: bool
-    cycle: Optional[Cycle]
+    cycle: Optional[Cycle]  # None when the walk is not an embedded cycle
 
     def __len__(self) -> int:
         return len(self.darts)
@@ -150,9 +148,9 @@ class MapFaces:
 
 def _walk_to_face(m: CombinatorialMap, walk: Sequence[Dart]) -> FaceWalk:
     try:
-        return FaceWalk(tuple(walk), True, Cycle.make(m.graph, walk))
+        return FaceWalk(tuple(walk), Cycle.make(m.graph, walk))
     except InvalidGraph:
-        return FaceWalk(tuple(walk), False, None)
+        return FaceWalk(tuple(walk), None)
 
 
 def _face_orbits(m: CombinatorialMap) -> list[tuple[Dart, ...]]:
@@ -417,8 +415,8 @@ def systoles_equal_faces(m: CombinatorialMap, cap: int = DEFAULT_CYCLE_CAP) -> F
     profile = systole_profile(m.skeleton_unit(), cap=cap)
     mins = profile.systoles
     faces = m.faces
-    face_cycles = {f.cycle for f in faces.faces if f.embedded}
-    all_embedded = all(f.embedded for f in faces.faces)
+    face_cycles = {f.cycle for f in faces.faces if f.cycle is not None}
+    all_embedded = all(f.cycle is not None for f in faces.faces)
     equal = profile.girth == t.p and all_embedded and set(mins) == face_cycles
     extras = tuple(sorted((c for c in mins if c not in face_cycles), key=Cycle.sort_key))
     return FaceSystoleReport(

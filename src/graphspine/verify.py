@@ -25,6 +25,9 @@ PASS = "PASS"
 FAIL = "FAIL"
 CONDITIONAL_SKIP = "CONDITIONAL-SKIP"
 
+# both dumbbells retract to this rose of two loops of length 1/2
+ROSE = MetricGraph(1, tuple(Edge(i, 0, 0, Fraction(1, 2)) for i in range(2)), "rose")
+
 
 class Bundled:
     """What the checks of one run read: each bundled dataset parsed once (so
@@ -79,15 +82,13 @@ def check_dumbbell_membership(data: Bundled) -> CheckResult:
 def check_dumbbell_equal_retraction(data: Bundled) -> CheckResult:
     traj = retract_to_spine(data.load("dumbbell_equal").graph)
     sigma0, final = traj.initial.girth, traj.final
-    rose = MetricGraph(1, tuple(
-        Edge(i, 0, 0, Fraction(1, 2)) for i in range(2)), "rose")
     ok = (
         len(traj.events) == 1
         and traj.events[0].kind == STAGE_COMPLETE
         and traj.events[0].u_star == Fraction(3, 2)
         and sigma0 == Fraction(1, 3)
         and final.girth == Fraction(1, 2)
-        and are_isomorphic(final.graph, rose) is not None
+        and are_isomorphic(final.graph, ROSE) is not None
     )
     return _check(
         "dumbbell-equal-retraction", ok,
@@ -99,14 +100,12 @@ def check_dumbbell_unequal_retraction(data: Bundled) -> CheckResult:
     g = data.load("dumbbell_unequal")
     traj = retract_to_spine(g)
     kinds = [e.kind for e in traj.events]
-    rose = MetricGraph(1, tuple(
-        Edge(i, 0, 0, Fraction(1, 2)) for i in range(2)), "rose")
     ok = (
         len(traj.events) == 2
         and kinds == [NEW_SYSTOLES, STAGE_COMPLETE]
         and traj.events[0].u_star == Fraction(10, 7)
         and len(traj.events[0].new_cycles) == 1
-        and are_isomorphic(traj.final.graph, rose) is not None
+        and are_isomorphic(traj.final.graph, ROSE) is not None
     )
     return _check(
         "dumbbell-unequal-retraction", ok,
@@ -118,12 +117,11 @@ def check_theta_unbalanced_retraction(data: Bundled) -> CheckResult:
     theta = data.load("theta").graph
     g = theta.with_lengths({0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)})
     traj = retract_to_spine(g)
-    equilateral = theta
     ok = (
         len(traj.events) == 1
         and traj.events[0].kind == NEW_SYSTOLES
         and traj.events[0].u_star == Fraction(4, 3)
-        and are_isomorphic(traj.final.graph, equilateral) is not None
+        and are_isomorphic(traj.final.graph, theta) is not None
     )
     return _check(
         "theta-unbalanced-retraction", ok,

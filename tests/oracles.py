@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -106,6 +106,38 @@ def oracle_isomorphic(g1: MetricGraph, g2: MetricGraph) -> bool:
     return (g1.num_vertices == g2.num_vertices
             and any(oracle_carries_pair_lengths(g1, g2, perm)
                     for perm in permutations(range(g1.num_vertices))))
+
+
+def oracle_bridges(g: MetricGraph) -> set[int]:
+    """The non-loop edges whose deletion disconnects their two ends: for each
+    edge, the set reached from one end over the other edges is grown until
+    it stops growing."""
+    bridges = set()
+    for e in g.edges:
+        if e.u == e.v:
+            continue
+        reached = {e.u}
+        grown = True
+        while grown:
+            grown = False
+            for f in g.edges:
+                if f.id != e.id and (f.u in reached) != (f.v in reached):
+                    reached |= {f.u, f.v}
+                    grown = True
+        if e.v not in reached:
+            bridges.add(e.id)
+    return bridges
+
+
+def oracle_orientable(m) -> bool:
+    """No twisted loop, and some assignment s of +-1 to the vertices, tried
+    all 2^V, has s(u)·s(v)·twist(e) = 1 on every non-loop edge."""
+    g = m.graph
+    twist = {e.id: -1 if e.id in m.twists else 1 for e in g.edges}
+    if any(e.u == e.v and twist[e.id] == -1 for e in g.edges):
+        return False
+    return any(all(s[e.u] * s[e.v] * twist[e.id] == 1 for e in g.edges if e.u != e.v)
+               for s in product((1, -1), repeat=g.num_vertices))
 
 
 def oracle_support_betti(g: MetricGraph, edge_ids) -> int:

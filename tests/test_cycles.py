@@ -18,7 +18,13 @@ from graphspine.cycles import (
 from graphspine.datasets import bundled_dataset, bundled_graph
 
 from .conftest import run_python
-from .oracles import oracle_cycles, oracle_length, oracle_support, oracle_systoles
+from .oracles import (
+    oracle_bridges,
+    oracle_cycles,
+    oracle_length,
+    oracle_support,
+    oracle_systoles,
+)
 from .strategies import multigraphs, random_relabeling, relabel_cycle
 
 
@@ -144,6 +150,15 @@ def test_minimum_cycles_postcondition_survives_optimize():
 def test_bridges_excluded(dumbbell_eq):
     assert bridge_ids(dumbbell_eq) == {2}
     assert all(2 not in c.edge_ids for c in cycles_up_to_length(dumbbell_eq, Fraction(1)))
+
+
+@given(multigraphs(max_vertices=7), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_bridges_match_the_oracle(g, seed):
+    # the generated trees hang each vertex below a smaller one; a relabelled
+    # copy takes that order away from the spanning tree's depths
+    for h in (g, random_relabeling(random.Random(seed), g)[0]):
+        assert bridge_ids(h) == oracle_bridges(h)
 
 
 @given(multigraphs(max_edges=9))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphspine import graphs
+from graphspine.datasets import DATASET_NAMES, bundled_graph
 from graphspine.errors import (
     BudgetExceeded,
     ContractionOfCycle,
@@ -232,6 +233,19 @@ def test_isomorphism_search_has_a_budget(monkeypatch, k4):
     assert excinfo.value.count == 4
     monkeypatch.setattr(graphs, "ISOMORPHISM_NODE_BUDGET", 4)
     assert are_isomorphic(k4, relabeled) is not None
+
+
+@pytest.mark.parametrize("name", DATASET_NAMES)
+def test_isomorphism_search_follows_the_spanning_tree(monkeypatch, name):
+    # each vertex after the first has a mapped neighbour, so a relabelled
+    # copy is found within 10 images per vertex, vertex-transitive maps too
+    g = bundled_graph(name)
+    monkeypatch.setattr(graphs, "ISOMORPHISM_NODE_BUDGET", 10 * g.num_vertices)
+    for seed in range(5):
+        copy, _, _ = random_relabeling(random.Random(seed), g)
+        vertex_map = are_isomorphic(g, copy)
+        assert vertex_map is not None
+        assert oracle_carries_pair_lengths(g, copy, vertex_map)
 
 
 def test_isomorphism_respects_lengths_on_edges(theta):

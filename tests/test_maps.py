@@ -28,7 +28,7 @@ from graphspine.maps import (
     trace_faces,
 )
 
-from .oracles import oracle_face_orbits, oracle_map_automorphisms
+from .oracles import oracle_face_orbits, oracle_map_automorphisms, oracle_orientable
 from .strategies import rotation_systems
 from .test_cli import counted
 
@@ -100,7 +100,7 @@ def test_make_datasets_reproduces_the_bundled_files(tmp_path, monkeypatch):
 def test_trace_faces_tetrahedron():
     faces = trace_faces(bundled_dataset("tetrahedron"))
     assert faces.count == 4
-    assert all(len(f) == 3 and f.embedded for f in faces.faces)
+    assert all(len(f) == 3 and f.cycle is not None for f in faces.faces)
     assert faces.euler_characteristic == 2 and faces.genus == 0
 
 
@@ -114,7 +114,7 @@ def test_trace_faces_cube():
 def test_trace_faces_klein():
     faces = trace_faces(bundled_dataset("klein_73"))
     assert faces.count == 24
-    assert all(len(f) == 7 and f.embedded for f in faces.faces)
+    assert all(len(f) == 7 and f.cycle is not None for f in faces.faces)
     assert faces.euler_characteristic == -4 and faces.genus == 3
 
 
@@ -122,7 +122,7 @@ def test_trace_faces_petersen_nonorientable():
     m = bundled_dataset("petersen_projective")
     faces = trace_faces(m)
     assert faces.count == 6
-    assert all(len(f) == 5 and f.embedded for f in faces.faces)
+    assert all(len(f) == 5 and f.cycle is not None for f in faces.faces)
     assert not faces.orientable
     assert faces.euler_characteristic == 1 and faces.crosscaps == 1
 
@@ -139,7 +139,7 @@ def test_dumbbell_faces_mixed():
     faces = trace_faces(bundled_dataset("dumbbell_equal"))
     assert sorted(len(f) for f in faces.faces) == [1, 1, 4]
     outer = max(faces.faces, key=len)
-    assert not outer.embedded  # crosses the bar twice
+    assert outer.cycle is None  # crosses the bar twice
 
 
 def test_map_type_examples():
@@ -373,6 +373,7 @@ def test_faces_run_twice_along_each_edge(m):
     g = m.graph
     chi = faces.euler_characteristic
     assert chi == g.num_vertices - g.num_edges + faces.count
+    assert faces.orientable == oracle_orientable(m)
     if faces.orientable:
         assert chi % 2 == 0 and faces.genus == (2 - chi) // 2
     else:
@@ -402,7 +403,7 @@ def test_flipping_a_vertex_keeps_the_faces(m, data):
     assert flipped.faces.count == m.faces.count
 
     def shape(faces):
-        return sorted((len(f), f.embedded) for f in faces.faces), {f.cycle for f in faces.faces}
+        return sorted((len(f), f.cycle is not None) for f in faces.faces), {f.cycle for f in faces.faces}
 
     assert shape(flipped.faces) == shape(m.faces)
 

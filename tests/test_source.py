@@ -116,3 +116,12 @@ def test_every_result_field_has_a_reader():
     read = set().union(*map(_attribute_reads, readers))
     unread = sorted(f for f in fields - UNREAD_CERTIFICATES if f.split(".")[1] not in read)
     assert unread == [], unread
+
+
+def test_only_the_searches_read_the_adjacency():
+    # connectivity, the homology basis, the bridges and orientability read
+    # the graph's one spanning tree; only graphs.py (which grows it) and the
+    # shortest-path searches in cycles.py walk the adjacency themselves
+    readers = sorted(path.name for path in PACKAGE.glob("*.py")
+                     if "adjacency" in _attribute_reads(path))
+    assert readers == ["cycles.py", "graphs.py"]
