@@ -1,11 +1,18 @@
 """Embedded-cycle search engine.
 
 Weighted girth, the complete set of minimum cycles and bounded enumeration
-of all embedded cycles.  All weights are exact rationals (``Fraction`` or
-``int``); ties are ties, never epsilons.  Each public search scales the
-weights once by their common denominator D and then adds and compares plain
-integers; lengths come back as ``Fraction(n, D)``.  ``minimum_cycles`` scales once and hands the integer
-weights on to the girth search and the enumeration.
+of all embedded cycles.  All weights are exact non-negative rationals
+(``Fraction`` or ``int``); ties are ties, never epsilons.  Each public search
+scales the weights once by their common denominator D and then adds and
+compares plain integers; lengths come back as ``Fraction(n, D)``.
+``minimum_cycles`` scales once and hands the integer weights on to the girth
+search and the enumeration.
+
+There is one shortest-path search, ``_trees``: a tree per root r on the
+vertices >= r.  ``girth_value`` reads its best candidate, and
+``cycles_up_to_length`` prunes its walks with the trees' distances, since
+every vertex of a cycle of weight <= L whose least vertex is r lies within
+L/2 of r in G[>= r] (Horton 1987; Vismara 1997).
 
 A shortest non-trivial closed curve in a graph never repeats a vertex (it
 would split there into two shorter ones), so only embedded cycles are ever
@@ -38,13 +45,17 @@ def _as_weights(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> Ma
 def _scaled(g: MetricGraph, weights: Optional[Mapping[int, Fraction]]) -> tuple[dict[int, int], int]:
     """The integer weights ``w·D`` and D, the lcm of the weight denominators.
     A weight that is not a Fraction or an int (a float, a string) has no
-    denominator and raises ValueError."""
+    denominator and raises ValueError; so does a negative weight, which
+    would break the searches' distance bounds."""
     w = _as_weights(g, weights)
     try:
         den = lcm(*(w[e.id].denominator for e in g.edges))
     except AttributeError:
         raise ValueError("every weight must be a Fraction or an int") from None
-    return {e.id: w[e.id].numerator * (den // w[e.id].denominator) for e in g.edges}, den
+    scaled = {e.id: w[e.id].numerator * (den // w[e.id].denominator) for e in g.edges}
+    if min(scaled.values(), default=0) < 0:
+        raise ValueError("every weight must be non-negative")
+    return scaled, den
 
 
 def _scaled_floor(x: Rational, den: int) -> int:
@@ -57,7 +68,7 @@ def _scaled_floor(x: Rational, den: int) -> int:
 
 def bridge_ids(g: MetricGraph) -> frozenset[int]:
     """Edges on no cycle at all.  Loops are never bridges; a parallel pair is
-    never a bridge.
+    never a bridge.  No search needs them: the name stays for the benchmark.
 
     These are the edges of ``g.spanning_tree`` on no chord's fundamental
     cycle: the fundamental cycles span the cycle space, so a cycle through a
@@ -82,50 +93,28 @@ def bridge_ids(g: MetricGraph) -> frozenset[int]:
     return frozenset(tree - on_cycle)
 
 
-def _dijkstra(g: MetricGraph, source: int, weights: Mapping[int, int], allowed,
-              limit: int) -> dict[int, int]:
-    """Exact single-source distances under integer weights, for settled
-    vertices only.  ``allowed(edge_id)`` filters edges; the search stops at
-    the first distance beyond ``limit``."""
-    done: dict[int, int] = {}
-    dist = {source: 0}
-    heap = [(0, source)]
-    adj = g.adjacency
-    while heap:
-        d, x = heapq.heappop(heap)
-        if x in done:
-            continue
-        if d > limit:
-            break
-        done[x] = d
-        for eid, y in adj[x]:
-            if y in done or not allowed(eid):
-                continue
-            nd = d + weights[eid]
-            old = dist.get(y)
-            if old is None or nd < old:
-                dist[y] = nd
-                heapq.heappush(heap, (nd, y))
-    return done
+def _trees(g: MetricGraph, w: Mapping[int, int]) -> tuple[Optional[int], list[tuple[int, dict[int, int], int]]]:
+    """The girth search on integer weights: the girth (None for a forest)
+    and per root r its tree as (r, settled distances in G[>= r], stop).
 
-
-def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None) -> Optional[Fraction]:
-    """Minimum weight over embedded cycles, or None for a forest.
-
-    Weights are exact non-negative rationals (ints included).  A loop is a
-    cycle by itself.  Every other candidate comes from one shortest-path tree
-    per root r, grown on the vertices >= r only: a non-tree edge xy closes the
-    walk r..x, xy, y..r of weight d(x) + w(xy) + d(y), whose edges taken mod 2
-    hold a cycle no heavier than the walk; and a shortest cycle whose least
-    vertex is r has a non-tree edge whose walk weighs exactly its length, with
-    both ends within half that length of r.  So each tree stops once 2·d
-    reaches the best candidate so far.
+    A loop is a candidate by itself.  Every other candidate comes from one
+    shortest-path tree per root r, grown on the vertices >= r only: a
+    non-tree edge xy closes the walk r..x, xy, y..r of weight
+    d(x) + w(xy) + d(y), whose edges taken mod 2 hold a cycle no heavier than
+    the walk; and a shortest cycle whose least vertex is r has a non-tree
+    edge whose walk weighs exactly its length, with both ends within half
+    that length of r.  So each tree stops once 2·d reaches the best candidate
+    so far, and ``stop`` is that best: a vertex the tree did not settle lies
+    at least stop/2 from r.  A root with fewer than two edges to larger
+    vertices is the least vertex of no cycle but a loop and grows no tree.
     """
-    w, den = _scaled(g, weights)
     no_cycle = sum(w.values()) + 1  # heavier than any cycle
     best = min((w[e.id] for e in g.edges if e.is_loop), default=no_cycle)
     adj = g.adjacency
+    trees = []
     for root in range(g.num_vertices):
+        if len([y for _, y in adj[root] if y > root]) < 2:
+            continue
         dist: dict[int, int] = {root: 0}
         via = {root: -1}  # the tree edge into each reached vertex
         done: dict[int, int] = {}
@@ -155,7 +144,15 @@ def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None
                     dist[y] = nd
                     via[y] = eid
                     heapq.heappush(heap, (nd, y))
-    return None if best == no_cycle else Fraction(best, den)
+        trees.append((root, done, best))
+    return (None if best == no_cycle else best), trees
+
+
+def girth_value(g: MetricGraph, weights: Optional[Mapping[int, Fraction]] = None) -> Optional[Fraction]:
+    """Minimum weight over embedded cycles, or None for a forest."""
+    w, den = _scaled(g, weights)
+    best = _trees(g, w)[0]
+    return None if best is None else Fraction(best, den)
 
 
 def cycles_up_to_length(g: MetricGraph, bound: Fraction,
@@ -163,69 +160,54 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
                         cap: int = DEFAULT_CYCLE_CAP) -> tuple[Cycle, ...]:
     """All embedded cycles of weight <= bound, complete and duplicate-free.
 
-    Each cycle is anchored at its minimum edge id: the search walks simple
-    paths between the anchor's endpoints using only larger ids, pruned by
-    exact shortest-path lower bounds.
+    The loops come first.  Every other cycle is rooted at its least vertex r
+    and walked as a simple path from r back to r on the vertices > r, pruned
+    by the distances of the girth search's tree at r: the rest of a cycle
+    from a vertex y back to r weighs at least d(y) if the tree settled y, and
+    at least stop/2 if not.  Each cycle is met in both directions; the one
+    whose first edge id is smaller is kept.
     """
     w, den = _scaled(g, weights)
     limit = _scaled_floor(bound, den)
     if limit < 0:
         return ()
-    bridges = bridge_ids(g)
     found: list[Cycle] = []
+
+    def emit(steps) -> None:
+        found.append(Cycle.make(g, steps))
+        if len(found) > cap:
+            raise BudgetExceeded(f"more than {cap} cycles within bound", len(found))
+
+    for e in g.edges:
+        if e.is_loop and w[e.id] <= limit:
+            emit(((e.id, 0),))
     adj = g.adjacency
     edge_by_id = g.edge_by_id
 
-    for anchor in g.edges:
-        aid = anchor.id
-        if w[aid] > limit:
-            continue
-        if anchor.is_loop:
-            found.append(Cycle.make(g, ((aid, 0),)))
-            if len(found) > cap:
-                raise BudgetExceeded(f"more than {cap} cycles within bound", len(found))
-            continue
-        if aid in bridges:
-            continue
-
-        def usable(eid: int, _aid=aid) -> bool:
-            return eid > _aid and eid not in bridges
-
-        goal = anchor.u
-        budget = limit - w[aid]
-        dist_to_goal = _dijkstra(g, goal, w, allowed=usable, limit=budget)
-        if anchor.v not in dist_to_goal:
-            continue
-
-        # DFS over simple paths anchor.v -> anchor.u on edges with id > aid
-        # (``usable``, inlined: this is the hottest loop); a frame is (vertex,
-        # path weight, its remaining incident edges).  A loop at x leads back
-        # to x, which is visited.
-        visited = {anchor.v, goal}
+    for root, dist, stop in _trees(g, w)[1]:
+        slack = 2 * limit - stop  # prune an unsettled y once nd + stop/2 > limit
+        # DFS over simple paths from root on the vertices > root (the hottest
+        # loop); a frame is (vertex, path weight, its remaining incident edges)
+        visited = {root}
         steps: list[tuple[int, int]] = []
-        stack = [(anchor.v, 0, iter(adj[anchor.v]))]
+        stack = [(root, 0, iter(adj[root]))]
         while stack:
             x, used, todo = stack[-1]
             for eid, y in todo:
-                if eid <= aid or eid in bridges:
-                    continue
-                e = edge_by_id[eid]
-                nd = used + w[eid]
-                if y == goal:
-                    if nd <= budget:
-                        direction = 0 if x == e.u else 1
-                        found.append(Cycle.make(g, [(aid, 0)] + steps + [(eid, direction)]))
-                        if len(found) > cap:
-                            raise BudgetExceeded(
-                                f"more than {cap} cycles within bound", len(found))
+                if y <= root:
+                    # back at the root; with no steps yet, a loop (emitted above)
+                    if (y == root and steps and steps[0][0] < eid
+                            and used + w[eid] <= limit):
+                        emit(steps + [(eid, 0 if x == edge_by_id[eid].u else 1)])
                     continue
                 if y in visited:
                     continue
-                lb = dist_to_goal.get(y)
-                if lb is None or nd + lb > budget:
+                nd = used + w[eid]
+                dy = dist.get(y)
+                if nd + dy > limit if dy is not None else 2 * nd > slack:
                     continue
                 visited.add(y)
-                steps.append((eid, 0 if x == e.u else 1))
+                steps.append((eid, 0 if x == edge_by_id[eid].u else 1))
                 stack.append((y, nd, iter(adj[y])))
                 break
             else:
@@ -236,7 +218,7 @@ def cycles_up_to_length(g: MetricGraph, bound: Fraction,
 
     uniq = sorted(set(found), key=Cycle.sort_key)
     if len(uniq) != len(found):
-        raise InvariantViolation("anchored enumeration emitted a duplicate cycle")
+        raise InvariantViolation("rooted enumeration emitted a duplicate cycle")
     return tuple(uniq)
 
 

@@ -349,11 +349,12 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]
 
     Deterministic backtracking over vertex images, refined by degree and
     incident-length signatures.  The vertices of g1 are assigned in the
-    order of its spanning tree, so each one after the first has a mapped
-    neighbour and its image must carry that pair's lengths.  A map that
-    carries the lengths joining each vertex pair, loops included, extends to
-    a length-preserving edge bijection.  The backtracking is exponential in the worst case, so it
-    raises BudgetExceeded once it has assigned more than
+    order of its spanning tree, so only the neighbours of a vertex's tree
+    parent's image are tried as its image, and it must carry that pair's
+    lengths.  A map that carries the lengths joining each vertex pair, loops
+    included, extends to a length-preserving edge bijection.  The
+    backtracking is exponential in the worst case, so it raises
+    BudgetExceeded once it has assigned more than
     ``ISOMORPHISM_NODE_BUDGET`` vertex images.
     """
     if g1.num_vertices != g2.num_vertices or g1.num_edges != g2.num_edges:
@@ -364,7 +365,8 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]
         return None
 
     n = g1.num_vertices
-    order = g1.spanning_tree[0]
+    order, parent = g1.spanning_tree
+    nbrs2 = [sorted({y for _, y in a}) for a in g2.adjacency]
     mapping: dict[int, int] = {}
     used: set[int] = set()
     nodes = 0
@@ -383,7 +385,7 @@ def are_isomorphic(g1: MetricGraph, g2: MetricGraph) -> Optional[tuple[int, ...]
         if i == n:
             return True
         v1 = order[i]
-        for v2 in range(n):
+        for v2 in nbrs2[mapping[parent[v1][1]]] if i else range(n):
             if v2 in used or not consistent(v1, v2):
                 continue
             nodes += 1

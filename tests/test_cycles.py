@@ -97,9 +97,13 @@ def test_string_bound_is_refused(theta):
         cycles_up_to_length(theta, "2/3")
 
 
-def test_float_weight_is_refused(theta):
+def test_float_weight_is_refused(theta, k4):
     with pytest.raises(ValueError):
         minimum_cycles(theta, weights={e.id: 0.5 for e in theta.edges})
+    # a negative weight would break the searches' distance bounds (a girth
+    # of -7 where the lightest cycle weighs -3)
+    with pytest.raises(ValueError):
+        girth_value(k4, {e.id: -5 if e.id == 0 else 1 for e in k4.edges})
 
 
 def test_cycles_up_to_length_k4(k4):
@@ -183,15 +187,19 @@ def test_tree_girth_matches_oracle(g, numerators):
         assert girth_value(g, weights) == want
 
 
-@given(multigraphs(max_edges=9))
+@given(multigraphs(max_edges=9), st.lists(st.integers(min_value=0, max_value=4),
+                                            min_size=9, max_size=9))
 @settings(max_examples=50, deadline=None)
-def test_bounded_enumeration_matches_oracle(g):
+def test_bounded_enumeration_matches_oracle(g, numerators):
+    # weights may be 0, as on the collapsed forest at the flow's stage end
     everything = oracle_cycles(g)
-    lengths = sorted({oracle_length(g, c) for c in everything})
-    bound = lengths[min(1, len(lengths) - 1)]  # second-smallest when it exists
-    got = set(cycles_up_to_length(g, bound))
-    want = {c for c in everything if oracle_length(g, c) <= bound}
-    assert got == want
+    for weights in (None, {e.id: numerators[i] for i, e in enumerate(g.edges)}):
+        w = g.lengths if weights is None else weights
+        length = {c: sum(w[eid] for eid in c.edge_ids) for c in everything}
+        lengths = sorted(set(length.values()))
+        bound = lengths[min(1, len(lengths) - 1)]  # second-smallest when it exists
+        got = set(cycles_up_to_length(g, bound, weights))
+        assert got == {c for c in everything if length[c] <= bound}
 
 
 @given(multigraphs(max_edges=8))

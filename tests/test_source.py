@@ -125,3 +125,14 @@ def test_only_the_searches_read_the_adjacency():
     readers = sorted(path.name for path in PACKAGE.glob("*.py")
                      if "adjacency" in _attribute_reads(path))
     assert readers == ["cycles.py", "graphs.py"]
+
+
+def test_one_shortest_path_search():
+    # girth and the cycle enumeration read the same shortest-path trees; a
+    # second heap would be a second search to keep in step with them
+    pushers = [f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and ast.unparse(call.func).endswith("heappush")
+                       for call in ast.walk(node))]
+    assert pushers == ["cycles.py:_trees"]
